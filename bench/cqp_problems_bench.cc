@@ -86,7 +86,7 @@ int Run() {
   };
 
   std::printf("%-40s %-15s %9s %10s %10s %8s %7s\n", "problem", "algorithm",
-              "doi", "cost[ms]", "size", "time[ms]", "infeas");
+              "doi", "cost[ms]", "size", "time[us]", "infeas");
   for (int p = 1; p <= 6; ++p) {
     auto problems = problems_for(p);
     const Row& row = rows[p - 1];
@@ -109,10 +109,10 @@ int Run() {
         ++feasible;
       }
       double fn = feasible > 0 ? static_cast<double>(feasible) : 1.0;
-      std::printf("%-40s %-15s %9.4f %10.1f %10.1f %8.2f %5zu/%zu\n",
+      std::printf("%-40s %-15s %9.4f %10.1f %10.1f %8.1f %5zu/%zu\n",
                   row.label, algorithm, doi / fn, cost / fn, size / fn,
-                  wall / static_cast<double>(instances.size()), infeasible,
-                  instances.size());
+                  1000.0 * wall / static_cast<double>(instances.size()),
+                  infeasible, instances.size());
     }
   }
   std::printf(

@@ -13,8 +13,8 @@
 //
 // Emits a table on stdout plus a JSON record (--json PATH, default
 // BENCH_throughput.json next to the working directory) for the bench
-// trajectory. Frontier counters (frontiers, avg width, wasted SIMD
-// lanes) instrument the SoA/SIMD batch evaluation core — docs/simd.md.
+// trajectory. Frontier counters (frontiers, avg width) instrument the
+// SoA batch evaluation core — docs/simd.md.
 //
 // Flags: --smoke     tiny grid (batch {1,8} x threads {1,2}) for CI/tsan
 //        --json P    write the JSON record to P
@@ -53,7 +53,6 @@ struct ThroughputCell {
   uint64_t cache_misses = 0;
   uint64_t frontiers = 0;
   uint64_t frontier_states = 0;
-  uint64_t lanes_wasted = 0;
 };
 
 double Percentile(std::vector<double> values, double p) {
@@ -87,7 +86,6 @@ ThroughputCell MakeCell(const cqp::construct::BatchResult& result,
   cell.cache_misses = result.eval_cache_misses;
   cell.frontiers = result.frontiers_evaluated;
   cell.frontier_states = result.frontier_states;
-  cell.lanes_wasted = result.frontier_lanes_wasted;
   for (const auto& r : result.results) {
     if (!r.ok()) {
       std::fprintf(stderr, "request failed: %s\n",
@@ -156,8 +154,7 @@ void AppendCellJson(std::string& json, const ThroughputCell& c, bool last) {
       "\"degraded\": %zu, \"states\": %llu, \"states_per_sec\": %.0f, "
       "\"eval_cache_hits\": %llu, \"eval_cache_misses\": %llu, "
       "\"eval_cache_hit_rate\": %.4f, \"frontiers\": %llu, "
-      "\"frontier_states\": %llu, \"avg_frontier_width\": %.2f, "
-      "\"lanes_wasted\": %llu}%s\n",
+      "\"frontier_states\": %llu, \"avg_frontier_width\": %.2f}%s\n",
       c.batch, c.threads, c.warm ? "\"phase\": \"warm\", " : "", c.wall_ms,
       c.qps, c.p50_ms, c.p99_ms, c.ok, c.degraded,
       static_cast<unsigned long long>(c.states), c.states_per_sec,
@@ -171,7 +168,7 @@ void AppendCellJson(std::string& json, const ThroughputCell& c, bool last) {
       c.frontiers == 0 ? 0.0
                        : static_cast<double>(c.frontier_states) /
                              static_cast<double>(c.frontiers),
-      static_cast<unsigned long long>(c.lanes_wasted), last ? "" : ",");
+      last ? "" : ",");
   json += buf;
 }
 

@@ -48,7 +48,7 @@ LOWER_IS_BETTER = {"wall_ms", "p50_ms", "p99_ms", "degraded",
 # legitimately move when the code under test changes).
 IGNORED = {"states", "requests", "identity_checked", "shed", "other",
            "journal_bytes", "group_commits", "frontiers", "frontier_states",
-           "avg_frontier_width", "lanes_wasted",
+           "avg_frontier_width",
            # Sharded tier: traffic counters and environment readings that
            # track workload shape, not quality. resident_within_budget is
            # enforced by the bench itself (it fails the run).

@@ -398,7 +398,6 @@ BatchResult Personalizer::PersonalizeBatch(
       batch.eval_cache_misses += r.metrics.eval_cache_misses;
       batch.frontiers_evaluated += r.metrics.frontiers_evaluated;
       batch.frontier_states += r.metrics.frontier_states;
-      batch.frontier_lanes_wasted += r.metrics.frontier_lanes_wasted;
       if (r.plan_cache_hit) ++batch.plan_cache_hits;
       if (r.degraded()) ++batch.degraded;
     }

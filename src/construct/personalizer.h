@@ -75,8 +75,8 @@ struct PersonalizeRequest {
   /// preference subset alone, and different bounds index different
   /// per-problem views (see estimation/eval_cache.h).
   estimation::EvalCache* eval_cache = nullptr;
-  /// Forces every rung onto the scalar evaluation path (no SoA/SIMD batch
-  /// kernels; docs/simd.md). The batch path is bit-for-bit identical, so
+  /// Forces every rung onto the scalar evaluation path (no SoA batch
+  /// evaluation; docs/simd.md). The batch path is bit-for-bit identical, so
   /// this exists for differential testing and benchmarking, not accuracy.
   bool disable_batch_eval = false;
   /// Disables the whole semantic rewrite layer (docs/rewriting.md) for this
@@ -153,9 +153,8 @@ struct BatchResult {
   uint64_t states_examined = 0;
   uint64_t eval_cache_hits = 0;
   uint64_t eval_cache_misses = 0;
-  uint64_t frontiers_evaluated = 0;     ///< batch evaluation calls
-  uint64_t frontier_states = 0;         ///< states inside those frontiers
-  uint64_t frontier_lanes_wasted = 0;   ///< SIMD padding lanes burned
+  uint64_t frontiers_evaluated = 0;  ///< batch evaluation calls
+  uint64_t frontier_states = 0;      ///< states inside those frontiers
   uint64_t plan_cache_hits = 0;  ///< requests whose Prepare() hit the cache
   size_t degraded = 0;  ///< OK results answered below Primary or truncated
 

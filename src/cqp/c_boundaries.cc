@@ -1,3 +1,4 @@
+#include <bit>
 #include <optional>
 
 #include "common/stopwatch.h"
@@ -9,54 +10,87 @@
 namespace cqp::cqp {
 namespace {
 
+/// A phase-1 work item: the state, its push-time evaluation and the
+/// generation of its group's boundaries when the push-time domination
+/// check passed (kUnchecked when no check ran). The evaluation is stored
+/// flat so the generation sits where StateParams keeps tail padding: an
+/// entry stays the size of a BitState, and the queue peaks at ~16k of them
+/// on the Fig. 12 workload.
+struct PhaseOneState {
+  static constexpr uint32_t kUnchecked = ~uint32_t{0};
+
+  PhaseOneState(uint64_t state, const estimation::StateParams& p,
+                uint32_t checked_at = kUnchecked)
+      : bits(state),
+        doi(p.doi),
+        cost_ms(p.cost_ms),
+        size(p.size),
+        count(p.count),
+        generation(checked_at) {}
+
+  estimation::StateParams params() const {
+    return estimation::StateParams{doi, cost_ms, size, count};
+  }
+
+  uint64_t bits;
+  double doi;
+  double cost_ms;
+  double size;
+  uint32_t count;
+  uint32_t generation;
+};
+static_assert(sizeof(PhaseOneState) == sizeof(BitState));
+
 /// Phase 1 (FINDBOUNDARY) in the bitmask domain with batch evaluation:
 /// the traversal — pop order, bound decisions, boundary set — is exactly
-/// the scalar loop below, because states are evaluated by the bit-exact
-/// batch kernels and neighbors are generated in the same order; only the
-/// *representation* (uint64 + push-time frontier evaluation instead of
-/// IndexSet + pop-time cached evaluation) changes. On the profiled
-/// workload this removes the IndexSet hashing/allocation and the
-/// ~0%-hit-rate EvalCache probes that dominated the scalar loop.
+/// the scalar loop below, because states are evaluated bit-exactly and
+/// neighbors are generated in the same order; only the *representation*
+/// (uint64 + push-time frontier evaluation instead of IndexSet + pop-time
+/// cached evaluation) changes. The pop-time prune() re-check is skipped
+/// when the state's group gained no boundary since its push-time check
+/// passed (BitBoundaryStore::DominatesAnySince): its answer is known.
 std::vector<IndexSet> FindBoundariesBatch(const SpaceView& view,
                                           SearchContext& ctx) {
   SearchMetrics& metrics = ctx.metrics;
   const size_t k = view.K();
   BitBoundaryStore boundaries(metrics);
   BitVisitedSet visited(metrics, k);
-  BitStateQueue queue(metrics);
+  BitQueue<PhaseOneState> queue(metrics);
   estimation::BatchEvaluator::Results results;
   std::vector<uint64_t> pending;
 
   uint64_t first = 1;
   visited.CheckAndInsert(first);
   view.EvaluateFrontierBits(&first, 1, &results, metrics);
-  queue.PushBack(BitState{first, results.Get(0)});
+  queue.PushBack({first, results.Get(0)});
 
   while (!queue.empty()) {
     if (ctx.ShouldStop()) break;
-    const BitState state = queue.PopFront();
-    if (boundaries.DominatesAny(state.bits)) continue;
-    if (view.WithinBound(state.params)) {
+    const PhaseOneState state = queue.PopFront();
+    if (boundaries.DominatesAnySince(state.bits, state.generation)) continue;
+    if (view.WithinBound(state.params())) {
       boundaries.Add(state.bits);
       ++metrics.transitions;
       if (uint64_t h = HorizontalBits(state.bits, k)) {
         if (!visited.CheckAndInsert(h)) {
           view.EvaluateFrontierBits(&h, 1, &results, metrics);
-          queue.PushBack(BitState{h, results.Get(0)});
+          queue.PushBack({h, results.Get(0)});
         }
       }
     } else {
+      // Vertical neighbors share the popped state's group, and no boundary
+      // is added while they are filtered: one generation tags them all.
+      // No boundary dominates the popped state (its check just passed),
+      // which is what DominatesVerticalNeighbor needs.
+      const uint32_t generation = boundaries.Generation(state.bits);
       pending.clear();
-      VerticalNeighborsBits(state.bits, k, &pending);
-      metrics.transitions += pending.size();
-      size_t kept = 0;
-      for (size_t i = 0; i < pending.size(); ++i) {
-        const uint64_t v = pending[i];
-        if (visited.CheckAndInsert(v)) continue;
-        if (boundaries.DominatesAny(v)) continue;
-        pending[kept++] = v;
-      }
-      pending.resize(kept);
+      ForEachVerticalNeighborBits(state.bits, k, [&](uint64_t v) {
+        ++metrics.transitions;
+        if (visited.CheckAndInsert(v)) return;
+        const int to = std::bit_width(v ^ state.bits) - 1;
+        if (boundaries.DominatesVerticalNeighbor(v, to)) return;
+        pending.push_back(v);
+      });
       if (!pending.empty()) {
         // One frontier of sibling states per pop. The scalar loop pushes
         // each survivor to the front as it is generated, so front-pushing
@@ -65,7 +99,7 @@ std::vector<IndexSet> FindBoundariesBatch(const SpaceView& view,
         view.EvaluateFrontierBits(pending.data(), pending.size(), &results,
                                   metrics);
         for (size_t i = 0; i < pending.size(); ++i) {
-          queue.PushFront(BitState{pending[i], results.Get(i)});
+          queue.PushFront({pending[i], results.Get(i), generation});
         }
       }
     }

@@ -100,7 +100,6 @@ void BatchRecurse(ExhaustiveState& st, BatchTail& tail, size_t i,
     metrics.states_examined += n;
     ++metrics.frontiers_evaluated;
     metrics.frontier_states += n;
-    metrics.frontier_lanes_wasted += tail.batch->PaddedLanes(n) - n;
     for (size_t l = 0; l < n; ++l) {
       estimation::StateParams leaf = tail.results.Get(l);
       if (st.problem->IsFeasible(leaf) &&

@@ -37,15 +37,15 @@ struct SearchMetrics {
   /// Full state evaluations that missed the cache and were computed (then
   /// inserted). hits + misses = cache-routed evaluations, not all states.
   uint64_t eval_cache_misses = 0;
-  /// Batch (SoA/SIMD) evaluation calls issued through a BatchEvaluator;
-  /// 0 on scalar-only runs. frontier_states / frontiers_evaluated is the
-  /// average frontier width fed to the kernels.
+  /// Batch (SoA) evaluation calls issued through a BatchEvaluator; 0 on
+  /// scalar-only runs. frontier_states / frontiers_evaluated is the
+  /// average frontier width of a call.
   uint64_t frontiers_evaluated = 0;
   /// States evaluated through the batch path (these also count under
   /// states_examined).
   uint64_t frontier_states = 0;
-  /// SIMD lanes burned on padding: frontiers whose width is not a multiple
-  /// of the kernel lane width run roundup(width) lanes and mask the rest.
+  /// Always 0: batch evaluation runs exactly the requested lanes, with no
+  /// padding. Kept because external consumers still read the field.
   uint64_t frontier_lanes_wasted = 0;
   /// Wall-clock time of Solve(), milliseconds.
   double wall_ms = 0.0;

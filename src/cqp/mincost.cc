@@ -50,7 +50,6 @@ void BbBatchTail(BbContext& ctx, size_t i,
   metrics.states_examined += n;
   ++metrics.frontiers_evaluated;
   metrics.frontier_states += n;
-  metrics.frontier_lanes_wasted += ctx.batch->PaddedLanes(n) - n;
   const ProblemSpec& problem = *ctx.problem;
   for (size_t l = 0; l < n; ++l) {
     estimation::StateParams leaf = ctx.results.Get(l);

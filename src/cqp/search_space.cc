@@ -148,7 +148,6 @@ void SpaceView::BumpFrontierCounters(size_t n, SearchMetrics& metrics) const {
   metrics.states_examined += n;
   ++metrics.frontiers_evaluated;
   metrics.frontier_states += n;
-  metrics.frontier_lanes_wasted += batch_->PaddedLanes(n) - n;
 }
 
 void SpaceView::EvaluateFrontierBits(

@@ -88,7 +88,7 @@ class SpaceView {
   /// the n best preferences of P (P is doi-sorted).
   double BestExpectedDoi(size_t n) const;
 
-  // --- SoA/SIMD batch evaluation (docs/simd.md) ---------------------------
+  // --- SoA batch evaluation (docs/simd.md) --------------------------------
 
   /// Attaches a batch evaluator built over the same preference space (see
   /// search_util's ResolveBatchEvaluator). nullptr detaches. A view is

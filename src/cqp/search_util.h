@@ -1,6 +1,7 @@
 #ifndef CQP_CQP_SEARCH_UTIL_H_
 #define CQP_CQP_SEARCH_UTIL_H_
 
+#include <array>
 #include <bit>
 #include <deque>
 #include <map>
@@ -123,7 +124,7 @@ class BoundaryStore {
 // and Dominates() calls — not in Formula evaluation. The batch search
 // loops therefore keep the whole phase-1 working set in the uint64
 // position-bitmask domain (k < 64): states are plain uint64s carried next
-// to their already-evaluated StateParams, visited sets hash an integer,
+// to their already-evaluated StateParams, the visited set is a bitmap,
 // and domination is a couple of countr_zero loops. docs/simd.md.
 
 /// A frontier work item: the state as a position bitmask plus its batch-
@@ -134,22 +135,24 @@ struct BitState {
   estimation::StateParams params;
 };
 
-/// Deque of BitStates with the same memory accounting role as StateQueue.
-class BitStateQueue {
+/// Deque of frontier work items (BitState, or a variant carrying more
+/// per-state data) with the same memory accounting role as StateQueue.
+template <typename Entry>
+class BitQueue {
  public:
-  explicit BitStateQueue(SearchMetrics& metrics) : metrics_(metrics) {}
-  ~BitStateQueue() { metrics_.memory.Release(queue_.size() * kEntryBytes); }
+  explicit BitQueue(SearchMetrics& metrics) : metrics_(metrics) {}
+  ~BitQueue() { metrics_.memory.Release(queue_.size() * kEntryBytes); }
 
-  void PushBack(BitState state) {
+  void PushBack(Entry state) {
     metrics_.memory.Allocate(kEntryBytes);
     queue_.push_back(state);
   }
-  void PushFront(BitState state) {
+  void PushFront(Entry state) {
     metrics_.memory.Allocate(kEntryBytes);
     queue_.push_front(state);
   }
-  BitState PopFront() {
-    BitState out = queue_.front();
+  Entry PopFront() {
+    Entry out = queue_.front();
     queue_.pop_front();
     metrics_.memory.Release(kEntryBytes);
     return out;
@@ -158,10 +161,12 @@ class BitStateQueue {
   size_t size() const { return queue_.size(); }
 
  private:
-  static constexpr size_t kEntryBytes = sizeof(BitState);
-  std::deque<BitState> queue_;
+  static constexpr size_t kEntryBytes = sizeof(Entry);
+  std::deque<Entry> queue_;
   SearchMetrics& metrics_;
 };
+
+using BitStateQueue = BitQueue<BitState>;
 
 /// Visited set over bitmask states, with memory accounting. For k up to
 /// kDenseMaxK the whole 2^k state universe fits a direct bitmap (one bit
@@ -223,53 +228,98 @@ inline bool DominatesBits(uint64_t a, uint64_t b) {
 
 /// BoundaryStore over bitmask states: same maximal-boundary maintenance
 /// and queries, same boundaries_found accounting, uint64 domination.
+/// Groups live in a flat array indexed by popcount.
+///
+/// Each group also counts its Adds (its generation). Add only ever
+/// replaces boundaries by one that dominates them, so a state that no
+/// boundary of its group dominated stays undominated until the group's
+/// generation moves: DominatesAnySince() skips the scan in that case.
+/// Generations count modulo 2^32; a stale one could only alias after 2^32
+/// Adds to one group, i.e. billions of pops, between two checks.
 class BitBoundaryStore {
  public:
   explicit BitBoundaryStore(SearchMetrics& metrics) : metrics_(metrics) {}
   ~BitBoundaryStore() {
-    for (const auto& [size, group] : by_size_) {
-      metrics_.memory.Release(group.size() * sizeof(uint64_t));
-    }
+    metrics_.memory.Release(stored_ * sizeof(uint64_t));
   }
 
   void Add(uint64_t boundary) {
-    std::vector<uint64_t>& group =
-        by_size_[static_cast<size_t>(std::popcount(boundary))];
-    for (size_t i = group.size(); i-- > 0;) {
-      if (DominatesBits(boundary, group[i])) {
+    Group& group = groups_[static_cast<size_t>(std::popcount(boundary))];
+    std::vector<uint64_t>& members = group.members;
+    for (size_t i = members.size(); i-- > 0;) {
+      if (DominatesBits(boundary, members[i])) {
         metrics_.memory.Release(sizeof(uint64_t));
-        group.erase(group.begin() + static_cast<ptrdiff_t>(i));
+        --stored_;
+        members.erase(members.begin() + static_cast<ptrdiff_t>(i));
       }
     }
-    group.push_back(boundary);
+    members.push_back(boundary);
+    ++group.generation;
     metrics_.memory.Allocate(sizeof(uint64_t));
+    ++stored_;
     ++metrics_.boundaries_found;
   }
 
   bool DominatesAny(uint64_t state) const {
-    auto it = by_size_.find(static_cast<size_t>(std::popcount(state)));
-    if (it == by_size_.end()) return false;
-    for (uint64_t b : it->second) {
+    for (uint64_t b : GroupOf(state).members) {
       if (b == state) continue;
       if (DominatesBits(b, state)) return true;
     }
     return false;
   }
 
-  bool empty() const { return by_size_.empty(); }
+  /// DominatesAny(v) for a Vertical neighbor v of a state that no stored
+  /// boundary dominates or equals, where v moved one member up to
+  /// position `to`. A boundary that dominates v but not the parent must
+  /// hold `to` at the rank it has in v, so one bit test and one popcount
+  /// rule out most boundaries before the full domination check.
+  bool DominatesVerticalNeighbor(uint64_t v, int to) const {
+    const uint64_t below = (uint64_t{1} << to) - 1;
+    const int rank = std::popcount(v & below);
+    for (uint64_t b : GroupOf(v).members) {
+      if (((b >> to) & 1) == 0 || std::popcount(b & below) != rank) continue;
+      if (b != v && DominatesBits(b, v)) return true;
+    }
+    return false;
+  }
+
+  /// Generation of `state`'s group: the number of Adds to it so far.
+  uint32_t Generation(uint64_t state) const {
+    return GroupOf(state).generation;
+  }
+
+  /// DominatesAny(state), given that it was false when the group was at
+  /// `generation`: false without a scan if the group has not changed.
+  bool DominatesAnySince(uint64_t state, uint32_t generation) const {
+    return Generation(state) != generation && DominatesAny(state);
+  }
+
+  bool empty() const { return stored_ == 0; }
 
   /// All boundaries as IndexSets, ordered by decreasing group size —
   /// drop-in replacement for BoundaryStore::DescendingBySize().
   std::vector<IndexSet> DescendingBySize() const {
     std::vector<IndexSet> out;
-    for (auto it = by_size_.rbegin(); it != by_size_.rend(); ++it) {
-      for (uint64_t b : it->second) out.push_back(IndexSet::FromBits(b));
+    out.reserve(stored_);
+    for (size_t size = groups_.size(); size-- > 0;) {
+      for (uint64_t b : groups_[size].members) {
+        out.push_back(IndexSet::FromBits(b));
+      }
     }
     return out;
   }
 
  private:
-  std::map<size_t, std::vector<uint64_t>> by_size_;
+  struct Group {
+    std::vector<uint64_t> members;
+    uint32_t generation = 0;
+  };
+  const Group& GroupOf(uint64_t state) const {
+    return groups_[static_cast<size_t>(std::popcount(state))];
+  }
+
+  std::array<Group, 65> groups_;  ///< index = popcount, 0..64
+  size_t stored_ = 0;
   SearchMetrics& metrics_;
 };
 

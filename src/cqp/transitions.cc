@@ -33,14 +33,8 @@ uint64_t HorizontalBits(uint64_t state, size_t k) {
 
 void VerticalNeighborsBits(uint64_t state, size_t k,
                            std::vector<uint64_t>* out) {
-  for (uint64_t rest = state; rest != 0; rest &= rest - 1) {
-    const int member = std::countr_zero(rest);
-    const int next = member + 1;
-    if (next >= static_cast<int>(k)) continue;
-    if ((state >> next) & 1) continue;
-    out->push_back((state ^ (uint64_t{1} << member)) |
-                   (uint64_t{1} << next));
-  }
+  ForEachVerticalNeighborBits(state, k,
+                              [out](uint64_t v) { out->push_back(v); });
 }
 
 std::vector<int32_t> Horizontal2Candidates(const IndexSet& state, size_t k) {

@@ -1,6 +1,7 @@
 #ifndef CQP_CQP_TRANSITIONS_H_
 #define CQP_CQP_TRANSITIONS_H_
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -42,6 +43,19 @@ std::vector<int32_t> Horizontal2Candidates(const IndexSet& state, size_t k);
 /// Horizontal for a non-empty bitmask state; 0 when the largest member is
 /// already K-1 (0 is never a valid successor — it would be the empty set).
 uint64_t HorizontalBits(uint64_t state, size_t k);
+
+/// Calls fn(neighbor) for each VerticalNeighbors member of a bitmask
+/// state, in increasing replaced-position order.
+template <typename Fn>
+void ForEachVerticalNeighborBits(uint64_t state, size_t k, Fn&& fn) {
+  for (uint64_t rest = state; rest != 0; rest &= rest - 1) {
+    const int member = std::countr_zero(rest);
+    const int next = member + 1;
+    if (next >= static_cast<int>(k)) continue;
+    if ((state >> next) & 1) continue;
+    fn((state ^ (uint64_t{1} << member)) | (uint64_t{1} << next));
+  }
+}
 
 /// VerticalNeighbors for a bitmask state, appended to `out` in increasing
 /// replaced-position order.

@@ -1,117 +1,59 @@
 #include "estimation/batch_evaluator.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
+#include <bit>
 
 #include "common/logging.h"
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 namespace cqp::estimation {
-namespace internal {
-
-#if defined(CQP_HAVE_AVX2_KERNELS)
-KernelChoice GetAvx2Kernel();  // batch_kernels_avx2.cc (own -mavx2 TU)
-#endif
-
 namespace {
 
-#if defined(__SSE2__)
-/// Two-lane SSE2 instantiation. SSE2 has no 64-bit integer compare, so
-/// equality is emulated by comparing 32-bit halves and ANDing each half
-/// with its swapped neighbour — all-ones only when both halves matched.
-struct Sse2Traits {
-  static constexpr size_t kWidth = 2;
-  using D = __m128d;
-  using I = __m128i;
-  using M = __m128d;
-
-  static __m128i Eq64(__m128i a, __m128i b) {
-    const __m128i e32 = _mm_cmpeq_epi32(a, b);
-    return _mm_and_si128(e32, _mm_shuffle_epi32(e32, _MM_SHUFFLE(2, 3, 0, 1)));
-  }
-
-  static D Broadcast(double v) { return _mm_set1_pd(v); }
-  static I BroadcastI(int64_t v) { return _mm_set1_epi64x(v); }
-  static I LoadMasks(const uint64_t* p) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  }
-  static M TestBit(I bits, size_t j) {
-    const __m128i bit =
-        _mm_set1_epi64x(static_cast<int64_t>(uint64_t{1} << j));
-    return _mm_castsi128_pd(Eq64(_mm_and_si128(bits, bit), bit));
-  }
-  static M CountIsZero(I count) {
-    return _mm_castsi128_pd(Eq64(count, _mm_setzero_si128()));
-  }
-  static D Select(M m, D t, D f) {
-    return _mm_or_pd(_mm_and_pd(m, t), _mm_andnot_pd(m, f));
-  }
-  static D ZeroWhere(M m, D v) { return _mm_andnot_pd(m, v); }
-  static D Add(D x, D y) { return _mm_add_pd(x, y); }
-  static D Sub(D x, D y) { return _mm_sub_pd(x, y); }
-  static D Mul(D x, D y) { return _mm_mul_pd(x, y); }
-  static D Min(D x, D y) { return _mm_min_pd(x, y); }
-  static I MaskSubI(I count, M m) {
-    return _mm_sub_epi64(count, _mm_castpd_si128(m));
-  }
-  static void Store(double* p, D v) { _mm_storeu_pd(p, v); }
-  static void StoreCount(uint32_t* p, I count) {
-    alignas(16) uint64_t tmp[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(tmp), count);
-    p[0] = static_cast<uint32_t>(tmp[0]);
-    p[1] = static_cast<uint32_t>(tmp[1]);
-  }
-};
-#endif  // __SSE2__
-
-bool ForceScalar() {
-  const char* v = std::getenv("CQP_FORCE_SCALAR_EVAL");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
+void Resize(size_t n, BatchEvaluator::Results* out) {
+  out->n = n;
+  out->doi.resize(n);
+  out->cost_ms.resize(n);
+  out->size.resize(n);
+  out->count.resize(n);
 }
 
-/// Resolved once per BatchEvaluator construction (not per process) so
-/// tests can flip CQP_FORCE_SCALAR_EVAL between evaluators.
-KernelChoice PickKernel() {
-  if (ForceScalar()) {
-    return {&EvalSequenceImpl<ScalarTraits>, ScalarTraits::kWidth,
-            "scalar-forced"};
-  }
-#if defined(CQP_HAVE_AVX2_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-  if (__builtin_cpu_supports("avx2")) {
-    return GetAvx2Kernel();
-  }
-#endif
-#if defined(__SSE2__)
-  return {&EvalSequenceImpl<Sse2Traits>, Sse2Traits::kWidth, "sse2"};
-#else
-  return {&EvalSequenceImpl<ScalarTraits>, ScalarTraits::kWidth, "scalar"};
-#endif
+void Store(const StateParams& s, size_t l, BatchEvaluator::Results* out) {
+  out->doi[l] = s.doi;
+  out->cost_ms[l] = s.cost_ms;
+  out->size[l] = s.size;
+  out->count[l] = s.count;
 }
 
 }  // namespace
-}  // namespace internal
+
+template <bool kSumCapped>
+inline StateParams BatchEvaluator::Step(const StateParams& parent,
+                                        size_t p) const {
+  CQP_DCHECK(p < K());
+  StateParams s;
+  // Formula 6: the first member *replaces* the base-query cost.
+  s.cost_ms = (parent.count == 0 ? 0.0 : parent.cost_ms) + cost_ms_[p];
+  // Formula 8: size multiplies by the member's selectivity.
+  s.size = parent.size * selectivity_[p];
+  // Formula 10 (noisy-or) or the capped-sum model.
+  if constexpr (kSumCapped) {
+    s.doi = std::min(1.0, parent.doi + doi_[p]);
+  } else {
+    s.doi = 1.0 - (1.0 - parent.doi) * one_minus_doi_[p];
+  }
+  s.count = parent.count + 1;
+  return s;
+}
 
 BatchEvaluator::BatchEvaluator(const QueryBaseEstimate& base,
                                const std::vector<ScoredPreference>& prefs,
                                prefs::ConjunctionModel model)
-    : base_(base),
-      prefs_(&prefs),
-      model_(model),
-      kernel_(internal::PickKernel()) {
+    : base_(base), prefs_(&prefs), model_(model) {
   const size_t k = prefs.size();
   cost_ms_.reserve(k);
   selectivity_.reserve(k);
   doi_.reserve(k);
   one_minus_doi_.reserve(k);
-  log_selectivity_.reserve(k);
-  log1p_neg_doi_.reserve(k);
-  identity_seq_.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    const ScoredPreference& p = prefs[i];
+  for (const ScoredPreference& p : prefs) {
     CQP_CHECK(prefs::IsValidDoi(p.doi));
     CQP_CHECK_GE(p.cost_ms, base_.cost_ms);
     CQP_CHECK_GE(p.selectivity, 0.0);
@@ -120,9 +62,6 @@ BatchEvaluator::BatchEvaluator(const QueryBaseEstimate& base,
     selectivity_.push_back(p.selectivity);
     doi_.push_back(p.doi);
     one_minus_doi_.push_back(1.0 - p.doi);
-    log_selectivity_.push_back(std::log(p.selectivity));
-    log1p_neg_doi_.push_back(std::log1p(-p.doi));
-    identity_seq_.push_back(static_cast<int32_t>(i));
   }
 }
 
@@ -138,79 +77,88 @@ StateParams BatchEvaluator::EmptyState() const {
 StateParams BatchEvaluator::ExtendWith(const StateParams& parent,
                                        int32_t i) const {
   const size_t p = static_cast<size_t>(i);
-  CQP_CHECK_LT(p, cost_ms_.size());
-  StateParams s;
-  // Same expressions as StateEvaluator::ExtendWith, for exact parity.
-  s.cost_ms = (parent.count == 0 ? 0.0 : parent.cost_ms) + cost_ms_[p];
-  s.size = parent.size * selectivity_[p];
-  switch (model_) {
-    case prefs::ConjunctionModel::kNoisyOr:
-      s.doi = 1.0 - (1.0 - parent.doi) * one_minus_doi_[p];
-      break;
-    case prefs::ConjunctionModel::kSumCapped:
-      s.doi = std::min(1.0, parent.doi + doi_[p]);
-      break;
-  }
-  s.count = parent.count + 1;
-  return s;
+  CQP_CHECK_LT(p, K());
+  return model_ == prefs::ConjunctionModel::kSumCapped
+             ? Step<true>(parent, p)
+             : Step<false>(parent, p);
 }
 
-void BatchEvaluator::RunKernel(internal::KernelArgs args, size_t n,
+template <bool kSumCapped>
+void BatchEvaluator::FoldMasks(const StateParams& start, const int32_t* seq,
+                               const uint64_t* lane_masks, size_t n,
                                Results* out) const {
-  const size_t width = kernel_.width;
-  const size_t padded = PaddedLanes(n);
-  out->n = n;
-  out->doi.resize(padded);
-  out->cost_ms.resize(padded);
-  out->size.resize(padded);
-  out->count.resize(padded);
-  args.cost_ms = cost_ms_.data();
-  args.selectivity = selectivity_.data();
-  args.doi = doi_.data();
-  args.one_minus_doi = one_minus_doi_.data();
-  args.sum_capped = model_ == prefs::ConjunctionModel::kSumCapped;
-  args.out_doi = out->doi.data();
-  args.out_cost_ms = out->cost_ms.data();
-  args.out_size = out->size.data();
-  args.out_count = out->count.data();
-  const size_t full = n / width * width;
-  if (full > 0) {
-    internal::KernelArgs head = args;
-    head.n_lanes = full;
-    kernel_.fn(head);
-  }
-  if (full < n) {
-    // The caller's mask array need not be padded: run the last partial
-    // pack from a zero-padded stack copy (outputs are padded already).
-    uint64_t tail_masks[8] = {0};
-    CQP_CHECK_LE(width, sizeof(tail_masks) / sizeof(tail_masks[0]));
-    for (size_t i = full; i < n; ++i) {
-      tail_masks[i - full] = args.lane_masks[i];
+  Resize(n, out);
+  for (size_t l = 0; l < n; ++l) {
+    StateParams s = start;
+    for (uint64_t rest = lane_masks[l]; rest != 0; rest &= rest - 1) {
+      const int j = std::countr_zero(rest);
+      s = Step<kSumCapped>(s, seq == nullptr ? static_cast<size_t>(j)
+                                             : static_cast<size_t>(seq[j]));
     }
-    internal::KernelArgs tail = args;
-    tail.lane_masks = tail_masks;
-    tail.n_lanes = width;
-    tail.out_doi += full;
-    tail.out_cost_ms += full;
-    tail.out_size += full;
-    tail.out_count += full;
-    kernel_.fn(tail);
+    Store(s, l, out);
+  }
+}
+
+template <bool kSumCapped>
+void BatchEvaluator::BuildFamily(const StateParams& parent,
+                                 const int32_t* seq, size_t seq_len,
+                                 const uint64_t* lane_masks, size_t n,
+                                 Results* out) const {
+  Resize(n, out);
+  // Row m holds the state of subset mask m. Its members are applied in
+  // ascending sequence position, so for 2^t <= m < 2^(t+1) it is row
+  // m - 2^t extended by seq[t]: one step per subset, and each pass over t
+  // reads rows [0, 2^t) and writes rows [2^t, 2^(t+1)) with one shared
+  // preference. Lanes in mask order are built in place; any other order
+  // is gathered from a stack table (plain arrays: no zero-fill per call).
+  bool identity = true;
+  for (size_t l = 0; l < n && identity; ++l) identity = lane_masks[l] == l;
+  struct Family {
+    double doi[size_t{1} << kMaxFamilyBits];
+    double cost_ms[size_t{1} << kMaxFamilyBits];
+    double size[size_t{1} << kMaxFamilyBits];
+    uint32_t count[size_t{1} << kMaxFamilyBits];
+  };
+  Family table;
+  double* doi = identity ? out->doi.data() : table.doi;
+  double* cost = identity ? out->cost_ms.data() : table.cost_ms;
+  double* size = identity ? out->size.data() : table.size;
+  uint32_t* count = identity ? out->count.data() : table.count;
+  doi[0] = parent.doi;
+  cost[0] = parent.cost_ms;
+  size[0] = parent.size;
+  count[0] = parent.count;
+  for (size_t t = 0; t < seq_len; ++t) {
+    const size_t half = size_t{1} << t;
+    const size_t p = static_cast<size_t>(seq[t]);
+    for (size_t m = 0; m < half; ++m) {
+      const StateParams s = Step<kSumCapped>(
+          StateParams{doi[m], cost[m], size[m], count[m]}, p);
+      doi[half + m] = s.doi;
+      cost[half + m] = s.cost_ms;
+      size[half + m] = s.size;
+      count[half + m] = s.count;
+    }
+  }
+  if (identity) return;
+  for (size_t l = 0; l < n; ++l) {
+    CQP_DCHECK(lane_masks[l] < n);
+    const size_t m = lane_masks[l] & (n - 1);
+    out->doi[l] = doi[m];
+    out->cost_ms[l] = cost[m];
+    out->size[l] = size[m];
+    out->count[l] = count[m];
   }
 }
 
 void BatchEvaluator::EvaluateMasks(const uint64_t* member_bits, size_t n,
                                    Results* out) const {
   CQP_CHECK_LT(K(), size_t{64});
-  const StateParams empty = EmptyState();
-  internal::KernelArgs args;
-  args.seq = identity_seq_.data();
-  args.seq_len = identity_seq_.size();
-  args.lane_masks = member_bits;
-  args.parent_doi = empty.doi;
-  args.parent_cost_ms = empty.cost_ms;
-  args.parent_size = empty.size;
-  args.parent_count = 0;
-  RunKernel(args, n, out);
+  if (model_ == prefs::ConjunctionModel::kSumCapped) {
+    FoldMasks<true>(EmptyState(), nullptr, member_bits, n, out);
+  } else {
+    FoldMasks<false>(EmptyState(), nullptr, member_bits, n, out);
+  }
 }
 
 void BatchEvaluator::EvaluateSequence(const StateParams& parent,
@@ -218,35 +166,26 @@ void BatchEvaluator::EvaluateSequence(const StateParams& parent,
                                       const uint64_t* lane_masks, size_t n,
                                       Results* out) const {
   CQP_CHECK_LE(seq_len, size_t{64});
-  internal::KernelArgs args;
-  args.seq = seq;
-  args.seq_len = seq_len;
-  args.lane_masks = lane_masks;
-  args.parent_doi = parent.doi;
-  args.parent_cost_ms = parent.cost_ms;
-  args.parent_size = parent.size;
-  args.parent_count = parent.count;
-  RunKernel(args, n, out);
+  const bool sum_capped = model_ == prefs::ConjunctionModel::kSumCapped;
+  if (seq_len <= kMaxFamilyBits && n == size_t{1} << seq_len) {
+    if (sum_capped) {
+      BuildFamily<true>(parent, seq, seq_len, lane_masks, n, out);
+    } else {
+      BuildFamily<false>(parent, seq, seq_len, lane_masks, n, out);
+    }
+  } else if (sum_capped) {
+    FoldMasks<true>(parent, seq, lane_masks, n, out);
+  } else {
+    FoldMasks<false>(parent, seq, lane_masks, n, out);
+  }
 }
 
 void BatchEvaluator::ExtendBatch(const StateParams& parent,
                                  const int32_t* pref_idx, size_t n,
                                  Results* out) const {
-  // One preference per lane needs a gather, not a shared sequence; the
-  // scalar ExtendWith expressions are already O(1) per lane and the SoA
-  // arrays keep them cache-friendly, so this path stays scalar.
-  const size_t padded = PaddedLanes(n);
-  out->n = n;
-  out->doi.resize(padded);
-  out->cost_ms.resize(padded);
-  out->size.resize(padded);
-  out->count.resize(padded);
+  Resize(n, out);
   for (size_t l = 0; l < n; ++l) {
-    const StateParams s = ExtendWith(parent, pref_idx[l]);
-    out->doi[l] = s.doi;
-    out->cost_ms[l] = s.cost_ms;
-    out->size[l] = s.size;
-    out->count[l] = s.count;
+    Store(ExtendWith(parent, pref_idx[l]), l, out);
   }
 }
 

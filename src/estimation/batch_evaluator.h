@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "estimation/batch_kernel_impl.h"
 #include "estimation/estimate.h"
 #include "estimation/evaluator.h"
 #include "prefs/doi.h"
@@ -18,22 +17,17 @@ namespace cqp::estimation {
 /// ScoredPreference structs, BatchEvaluator copies the admitted space into
 /// contiguous per-preference arrays at construction ("Prepare time" — a
 /// shared instance rides on space::PreparedSpace) and evaluates N sibling
-/// states per call through a SIMD kernel: lanes are states, the preference
-/// sequence is walked in canonical ascending P-index order, and per-lane
-/// membership masks select which lanes each update applies to.
+/// states per call. Each lane (state) folds over its own set bits only, so
+/// a state costs one update per member rather than one per preference of
+/// the space; a full 2^L subset family shares prefixes and costs one
+/// update per lane.
 ///
 /// Parity contract: every lane executes exactly the floating-point op
 /// sequence of the scalar StateEvaluator chain (EvaluateBits /
 /// ExtendWith), so results are bit-for-bit identical to the scalar oracle
 /// — the differential harness compares with operator==, not a tolerance.
-/// Kernels must therefore never reassociate, fuse (FMA) or reorder the
-/// per-lane arithmetic; see batch_kernel_impl.h.
-///
-/// Kernel selection happens once per construction: AVX2 (4 lanes) when
-/// compiled in (CQP_ENABLE_AVX2) and the CPU reports it, else SSE2
-/// (2 lanes) on x86-64, else the portable scalar instantiation of the
-/// same template. Setting CQP_FORCE_SCALAR_EVAL=1 in the environment
-/// forces the scalar kernel regardless (differential testing).
+/// The evaluation TU is built with -ffp-contract=off so `1.0 - a*b` never
+/// fuses into an FMA.
 ///
 /// Like StateEvaluator, the preference vector is BORROWED and must
 /// outlive this object; the rvalue overload is deleted. All evaluation
@@ -41,8 +35,7 @@ namespace cqp::estimation {
 /// instance may be shared across concurrent solves.
 class BatchEvaluator {
  public:
-  /// SoA result container. Arrays are padded up to the lane width; `n` is
-  /// the logical lane count requested by the caller.
+  /// SoA result container; `n` is the lane count of the last call.
   struct Results {
     std::vector<double> doi;
     std::vector<double> cost_ms;
@@ -72,8 +65,6 @@ class BatchEvaluator {
   size_t K() const { return cost_ms_.size(); }
   const QueryBaseEstimate& base() const { return base_; }
   prefs::ConjunctionModel conjunction_model() const { return model_; }
-  size_t lane_width() const { return kernel_.width; }
-  const char* kernel_name() const { return kernel_.name; }
 
   /// Identity of the borrowed preference vector — callers holding a
   /// PreferenceSpaceResult use this to tell whether a shared artifact was
@@ -85,8 +76,7 @@ class BatchEvaluator {
   /// Parameters of the empty state (the original query).
   StateParams EmptyState() const;
 
-  /// Scalar-identical O(1) incremental extension (used for frontier
-  /// parents between batch calls; same expressions as
+  /// Scalar-identical O(1) incremental extension (same expressions as
   /// StateEvaluator::ExtendWith).
   StateParams ExtendWith(const StateParams& parent, int32_t i) const;
 
@@ -99,6 +89,8 @@ class BatchEvaluator {
   /// Evaluates `n` sibling states: lane l is `parent` extended with
   /// { seq[j] : bit j of lane_masks[l] }, applied in sequence order.
   /// `seq` holds distinct P indices not in the parent; seq_len <= 64.
+  /// When n == 2^seq_len (a full subset family, up to kMaxFamilyBits)
+  /// each lane is its prefix lane extended once.
   void EvaluateSequence(const StateParams& parent, const int32_t* seq,
                         size_t seq_len, const uint64_t* lane_masks, size_t n,
                         Results* out) const;
@@ -108,36 +100,31 @@ class BatchEvaluator {
   void ExtendBatch(const StateParams& parent, const int32_t* pref_idx,
                    size_t n, Results* out) const;
 
-  /// Lanes the kernel actually runs for `n` logical lanes (padding burns
-  /// roundup(n, width) - n lanes; SearchMetrics::frontier_lanes_wasted).
-  size_t PaddedLanes(size_t n) const {
-    return (n + kernel_.width - 1) / kernel_.width * kernel_.width;
-  }
-
-  // Log-domain companions of the SoA arrays, precomputed at construction:
-  // log(selectivity) and log1p(-doi). Feasibility pre-screens can sum
-  // these instead of multiplying probabilities (size and noisy-or doi
-  // bounds become additive); the exact-parity kernels do not use them.
-  const std::vector<double>& log_selectivity() const {
-    return log_selectivity_;
-  }
-  const std::vector<double>& log1p_neg_doi() const { return log1p_neg_doi_; }
+  /// Widest subset family EvaluateSequence builds by prefix sharing.
+  static constexpr size_t kMaxFamilyBits = 8;
 
  private:
-  void RunKernel(internal::KernelArgs args, size_t n, Results* out) const;
+  /// StateEvaluator::ExtendWith over the SoA arrays, with the conjunction
+  /// model resolved at compile time. The expressions are the scalar ones,
+  /// term for term: that is the whole parity argument.
+  template <bool kSumCapped>
+  StateParams Step(const StateParams& parent, size_t p) const;
+  template <bool kSumCapped>
+  void FoldMasks(const StateParams& start, const int32_t* seq,
+                 const uint64_t* lane_masks, size_t n, Results* out) const;
+  template <bool kSumCapped>
+  void BuildFamily(const StateParams& parent, const int32_t* seq,
+                   size_t seq_len, const uint64_t* lane_masks, size_t n,
+                   Results* out) const;
 
   QueryBaseEstimate base_;
   const std::vector<ScoredPreference>* prefs_;  ///< borrowed, never null
   prefs::ConjunctionModel model_;
-  internal::KernelChoice kernel_;
   // The SoA mirror of *prefs_ (contiguous, indexed by P index).
   std::vector<double> cost_ms_;
   std::vector<double> selectivity_;
   std::vector<double> doi_;
   std::vector<double> one_minus_doi_;
-  std::vector<double> log_selectivity_;
-  std::vector<double> log1p_neg_doi_;
-  std::vector<int32_t> identity_seq_;  ///< 0..K-1, EvaluateMasks' sequence
 };
 
 }  // namespace cqp::estimation

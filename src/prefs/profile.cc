@@ -1,5 +1,9 @@
 #include "prefs/profile.h"
 
+#include <charconv>
+#include <system_error>
+
+#include "common/logging.h"
 #include "common/str_util.h"
 #include "sql/lexer.h"
 
@@ -62,13 +66,31 @@ Status Profile::ValidateAgainst(const storage::Database& db) const {
   return Status::OK();
 }
 
+namespace {
+
+/// The shortest fixed-notation text that parses back to exactly `doi`
+/// (the lexer reads no exponents), so a profile survives ToText/Parse —
+/// e.g. a journal replay or a page-in — with bit-identical dois. Integral
+/// values keep a ".0" so they lex as doubles and -0.0 keeps its sign.
+std::string DoiText(double doi) {
+  char buf[512];  // fixed notation of any double in [0, 1] fits
+  auto [end, ec] =
+      std::to_chars(buf, buf + sizeof(buf), doi, std::chars_format::fixed);
+  CQP_CHECK(ec == std::errc());
+  std::string text(buf, end);
+  if (text.find('.') == std::string::npos) text += ".0";
+  return text;
+}
+
+}  // namespace
+
 std::string Profile::ToText() const {
   std::string out;
   for (const AtomicJoin& p : joins_) {
-    out += StrFormat("doi(%s) = %.6f\n", p.ConditionString().c_str(), p.doi);
+    out += "doi(" + p.ConditionString() + ") = " + DoiText(p.doi) + "\n";
   }
   for (const AtomicSelection& p : selections_) {
-    out += StrFormat("doi(%s) = %.6f\n", p.ConditionString().c_str(), p.doi);
+    out += "doi(" + p.ConditionString() + ") = " + DoiText(p.doi) + "\n";
   }
   return out;
 }

@@ -34,7 +34,8 @@ class Profile {
   /// attributes must exist, selection literal types must match the column.
   Status ValidateAgainst(const storage::Database& db) const;
 
-  /// Serializes to the line format accepted by Parse (stable order).
+  /// Serializes to the line format accepted by Parse (stable order). Dois
+  /// round-trip exactly: Parse(ToText()) has bit-identical dois.
   std::string ToText() const;
 
   /// Parses the textual profile format:

@@ -311,7 +311,7 @@ void CheckEvaluatorInvariants(const CqpInstance& instance,
   }
 }
 
-/// Checks (g), kernel level: the SoA batch kernels against the scalar
+/// Checks (g), evaluator level: the SoA BatchEvaluator against the scalar
 /// StateEvaluator, operator== on every field. The batch evaluator promises
 /// bit-for-bit parity (each lane runs the identical fp op sequence — see
 /// batch_evaluator.h), so no tolerance is involved anywhere here.
@@ -334,8 +334,8 @@ void CheckBatchKernelParity(const CqpInstance& instance,
   };
 
   for (int trial = 0; trial < options.invariant_trials; ++trial) {
-    // EvaluateMasks over an odd-width frontier (exercising the kernel's
-    // padded tail lanes) that always contains the empty and supreme states.
+    // EvaluateMasks over a small frontier that always contains the empty
+    // and supreme states.
     std::vector<uint64_t> masks = {0, full};
     const size_t extra = 1 + static_cast<size_t>(rng.Uniform(0, 4));
     for (size_t i = 0; i < extra; ++i) {
@@ -347,8 +347,7 @@ void CheckBatchKernelParity(const CqpInstance& instance,
       if (!same(results.Get(l), want)) {
         report->Add(
             "batch-kernel", "",
-            StrFormat("[%s] EvaluateMasks lane %zu (mask %llx): %s != %s",
-                      batch.kernel_name(), l,
+            StrFormat("EvaluateMasks lane %zu (mask %llx): %s != %s", l,
                       static_cast<unsigned long long>(masks[l]),
                       P17(results.Get(l)).c_str(), P17(want).c_str()));
         return;  // one witness suffices; later lanes would just repeat it
@@ -370,25 +369,33 @@ void CheckBatchKernelParity(const CqpInstance& instance,
     if (seq.size() > 8) seq.resize(8);
     const uint64_t seq_full =
         seq.empty() ? 0 : (uint64_t{1} << seq.size()) - 1;
-    std::vector<uint64_t> lane_masks = {0, seq_full};
-    for (int i = 0; i < 3; ++i) lane_masks.push_back(rng.Next() & seq_full);
-    batch.EvaluateSequence(parent, seq.data(), seq.size(), lane_masks.data(),
-                           lane_masks.size(), &results);
-    for (size_t l = 0; l < lane_masks.size(); ++l) {
-      estimation::StateParams want = parent;
-      for (size_t j = 0; j < seq.size(); ++j) {
-        if ((lane_masks[l] >> j) & 1) {
-          want = evaluator.ExtendWith(want, seq[j]);
+    // A partial lane set (folded per lane) and the full 2^L subset family
+    // in shuffled lane order (built by prefix sharing).
+    std::vector<uint64_t> partial = {0, seq_full};
+    for (int i = 0; i < 3; ++i) partial.push_back(rng.Next() & seq_full);
+    std::vector<uint64_t> family(size_t{1} << seq.size());
+    for (size_t m = 0; m < family.size(); ++m) family[m] = m;
+    rng.Shuffle(family);
+    for (const std::vector<uint64_t>* lane_masks : {&partial, &family}) {
+      batch.EvaluateSequence(parent, seq.data(), seq.size(),
+                             lane_masks->data(), lane_masks->size(),
+                             &results);
+      for (size_t l = 0; l < lane_masks->size(); ++l) {
+        const uint64_t mask = (*lane_masks)[l];
+        estimation::StateParams want = parent;
+        for (size_t j = 0; j < seq.size(); ++j) {
+          if ((mask >> j) & 1) want = evaluator.ExtendWith(want, seq[j]);
         }
-      }
-      if (!same(results.Get(l), want)) {
-        report->Add(
-            "batch-kernel", "",
-            StrFormat("[%s] EvaluateSequence lane %zu (mask %llx): %s != %s",
-                      batch.kernel_name(), l,
-                      static_cast<unsigned long long>(lane_masks[l]),
-                      P17(results.Get(l)).c_str(), P17(want).c_str()));
-        return;
+        if (!same(results.Get(l), want)) {
+          report->Add(
+              "batch-kernel", "",
+              StrFormat("EvaluateSequence lane %zu of %zu (mask %llx): %s "
+                        "!= %s",
+                        l, lane_masks->size(),
+                        static_cast<unsigned long long>(mask),
+                        P17(results.Get(l)).c_str(), P17(want).c_str()));
+          return;
+        }
       }
     }
 
@@ -399,9 +406,8 @@ void CheckBatchKernelParity(const CqpInstance& instance,
         estimation::StateParams want = evaluator.ExtendWith(parent, seq[l]);
         if (!same(results.Get(l), want)) {
           report->Add("batch-kernel", "",
-                      StrFormat("[%s] ExtendBatch lane %zu (pref %d): %s != %s",
-                                batch.kernel_name(), l, seq[l],
-                                P17(results.Get(l)).c_str(),
+                      StrFormat("ExtendBatch lane %zu (pref %d): %s != %s", l,
+                                seq[l], P17(results.Get(l)).c_str(),
                                 P17(want).c_str()));
           return;
         }
@@ -665,7 +671,7 @@ CheckReport CheckInstance(const CqpInstance& instance,
     }
 
     // (g) Batch-evaluation parity, solution level: `sol` above ran with the
-    // SoA/SIMD batch path enabled (the default cacheless context turns it
+    // SoA batch path enabled (the default cacheless context turns it
     // on), so a forced-scalar re-solve must reproduce it. Field-for-field
     // for every algorithm except MinCost-BB, whose batched tails evaluate
     // states its scalar recursion prunes and may therefore record a

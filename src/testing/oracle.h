@@ -44,8 +44,8 @@ struct CheckOptions {
   bool check_prepared = true;     ///< (f) PreparedSpace per-problem view
                                   ///< partitions P correctly and solves to
                                   ///< the full-space optimum (remapped)
-  bool check_batch_parity = true; ///< (g) SoA/SIMD batch evaluation path:
-                                  ///< kernels vs EvaluateBits/ExtendWith
+  bool check_batch_parity = true; ///< (g) SoA batch evaluation path:
+                                  ///< BatchEvaluator vs EvaluateBits/ExtendWith
                                   ///< bit-for-bit, and each algorithm's
                                   ///< batch solve vs its forced-scalar
                                   ///< solve (docs/simd.md)

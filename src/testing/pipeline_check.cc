@@ -369,7 +369,7 @@ PipelineCheckResult RunPipelineCheck(const PipelineCheckConfig& config) {
     failpoint::Reset();
   }
 
-  // Path 7: the SoA/SIMD batch evaluation core. The reference results above
+  // Path 7: the SoA batch evaluation core. The reference results above
   // were produced with batch evaluation enabled (the default); re-solving
   // with `disable_batch_eval` forces every algorithm onto the scalar
   // StateEvaluator. Doi-maximization answers must agree field for field

@@ -21,7 +21,7 @@ struct PipelineCheckConfig {
   bool check_failpoints = true;  ///< injected faults + tight budgets degrade
   bool check_prepared = true;    ///< Prepare()+Solve(), cold and plan-cached,
                                  ///< vs direct Personalize()
-  bool check_batch_eval = true;  ///< SoA/SIMD batch evaluation vs forced
+  bool check_batch_eval = true;  ///< SoA batch evaluation vs forced
                                  ///< scalar (disable_batch_eval) answers
   bool check_rewrite = true;     ///< optimized vs unoptimized emission of the
                                  ///< SAME chosen solution executes to the
@@ -42,7 +42,7 @@ struct PipelineCheckResult {
 ///   * Personalize() with a shared, pre-warmed EvalCache,
 ///   * explicit Prepare()+Solve(), cold and with a warm plan cache,
 ///   * a loopback server round trip (JSON wire protocol),
-///   * Personalize() with the SoA/SIMD batch evaluation path disabled
+///   * Personalize() with the SoA batch evaluation path disabled
 ///     (objective-level for cost minimization, where branch-and-bound
 ///     tie-breaking may legitimately pick a different optimal set),
 /// and — under injected failpoints plus tight expansion budgets — that

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <tuple>
 
 #include "common/rng.h"
 #include "cqp/algorithms.h"
 #include "estimation/eval_cache.h"
 #include "test_util.h"
+#include "workload/experiment.h"
 
 namespace cqp::cqp {
 namespace {
@@ -128,6 +130,64 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
                        ::testing::Values(4, 6, 9, 12),
                        ::testing::Values(0.15, 0.3, 0.5, 0.8)));
+
+// ---------- C-Boundaries traversal pin ----------
+
+/// The Fig. 12 setting (5000 movies, K = 20, Problem2(400)) on two
+/// profiles x two queries. Phase 1's cost work may change; which states it
+/// visits and what it answers may not. Every value below is a golden
+/// capture of the default (batch-evaluation) path; doubles are compared as
+/// bit patterns.
+TEST(CBoundariesPinTest, Fig12TraversalAndAnswersArePinned) {
+  struct Golden {
+    uint64_t states_examined;
+    uint64_t transitions;
+    uint64_t boundaries_found;
+    const char* chosen;
+    uint64_t doi_bits;
+    uint64_t cost_bits;
+    uint64_t size_bits;
+  };
+  const Golden golden[] = {
+      {110985, 463413, 20308, "{0,1,2,3,4,6,7,8,9,10,13}",
+       0x3feffffffe97d7b7ULL, 0x4077e00000000000ULL, 0x3e3051d72e72417bULL},
+      {110985, 463413, 20308, "{0,1,2,3,4,6,7,8,9,10,13}",
+       0x3feffffffe97d7b7ULL, 0x4077e00000000000ULL, 0x3e2325ffe493b6a3ULL},
+      {147253, 584491, 36834, "{0,1,2,3,4,5,6,7,10,11,15,17}",
+       0x3fefffffec1a6809ULL, 0x4078b00000000000ULL, 0x3c62a4b2d4ca06d3ULL},
+      {109819, 456328, 20877, "{0,1,2,3,4,5,8,9,13,15,16,17}",
+       0x3fefffff39e0a034ULL, 0x4078d00000000000ULL, 0x3c1711a703ae74c2ULL},
+  };
+  workload::ExperimentConfig config;
+  config.db.n_movies = 5000;
+  config.db.n_directors = 500;
+  config.db.n_actors = 1000;
+  config.n_profiles = 2;
+  config.query.n_queries = 2;
+  auto experiment = workload::ExperimentContext::Create(config);
+  ASSERT_TRUE(experiment.ok()) << experiment.status().ToString();
+  auto instances = workload::BuildInstances(*experiment, 20);
+  ASSERT_TRUE(instances.ok()) << instances.status().ToString();
+  ASSERT_EQ(instances->size(), std::size(golden));
+  const Algorithm* algorithm = *GetAlgorithm("C-Boundaries");
+  for (size_t i = 0; i < instances->size(); ++i) {
+    const Golden& want = golden[i];
+    SearchContext ctx;
+    auto sol = algorithm->Solve((*instances)[i].space,
+                                ProblemSpec::Problem2(400), ctx);
+    ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+    ASSERT_TRUE(sol->feasible);
+    EXPECT_EQ(ctx.metrics.states_examined, want.states_examined) << i;
+    EXPECT_EQ(ctx.metrics.transitions, want.transitions) << i;
+    EXPECT_EQ(ctx.metrics.boundaries_found, want.boundaries_found) << i;
+    EXPECT_EQ(sol->chosen.ToString(), want.chosen) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(sol->params.doi), want.doi_bits) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(sol->params.cost_ms), want.cost_bits)
+        << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(sol->params.size), want.size_bits)
+        << i;
+  }
+}
 
 // ---------- Problems 1 and 3 (size bounds) ----------
 

@@ -1,11 +1,10 @@
 // Bit-for-bit parity of estimation::BatchEvaluator against the scalar
 // StateEvaluator oracle. Every comparison here is operator== on doubles —
-// the SIMD kernels are required to reproduce the scalar chain exactly
+// batch evaluation is required to reproduce the scalar chain exactly
 // (docs/simd.md), so no tolerance is ever appropriate in this file.
 
 #include "estimation/batch_evaluator.h"
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,7 +53,6 @@ TEST(BatchEvaluatorTest, EvaluateMasksMatchesEvaluateBitsExactly) {
       BatchEvaluator batch(f.base, f.prefs, model);
       Rng rng(7 * k + static_cast<uint64_t>(model));
       const uint64_t all = k == 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
-      // Odd widths exercise the padded-tail path of every kernel.
       for (size_t n : {1u, 2u, 3u, 5u, 8u, 17u}) {
         std::vector<uint64_t> masks(n);
         for (uint64_t& m : masks) m = rng.Next() & all;
@@ -131,39 +129,97 @@ TEST(BatchEvaluatorTest, ExtendBatchMatchesExtendWith) {
                      "scalar ExtendWith mirror");
 }
 
-TEST(BatchEvaluatorTest, ForcedScalarKernelMatchesSimdKernel) {
-  Fixture f = MakeFixture(77, 19);
-  BatchEvaluator simd(f.base, f.prefs);
-  ASSERT_EQ(setenv("CQP_FORCE_SCALAR_EVAL", "1", 1), 0);
-  BatchEvaluator forced(f.base, f.prefs);
-  ASSERT_EQ(unsetenv("CQP_FORCE_SCALAR_EVAL"), 0);
-  EXPECT_STREQ(forced.kernel_name(), "scalar-forced");
-  EXPECT_EQ(forced.lane_width(), 1u);
-  Rng rng(3);
-  std::vector<uint64_t> masks(33);
-  for (uint64_t& m : masks) m = rng.Next() & ((uint64_t{1} << 19) - 1);
-  BatchEvaluator::Results a;
-  BatchEvaluator::Results b;
-  simd.EvaluateMasks(masks.data(), masks.size(), &a);
-  forced.EvaluateMasks(masks.data(), masks.size(), &b);
-  for (size_t l = 0; l < masks.size(); ++l) {
-    ExpectExactlyEqual(a.Get(l), b.Get(l), "lane=" + std::to_string(l));
+/// The scalar chain for `parent` extended by { seq[j] : bit j of mask },
+/// in sequence order — what every EvaluateSequence lane must reproduce.
+StateParams SequenceChain(const StateEvaluator& scalar, StateParams parent,
+                          const std::vector<int32_t>& seq, uint64_t mask) {
+  for (size_t j = 0; j < seq.size(); ++j) {
+    if ((mask >> j) & 1) parent = scalar.ExtendWith(parent, seq[j]);
+  }
+  return parent;
+}
+
+TEST(BatchEvaluatorTest, EvaluateMasksSingleBitsAndFullSpace) {
+  for (ConjunctionModel model :
+       {ConjunctionModel::kNoisyOr, ConjunctionModel::kSumCapped}) {
+    Fixture f = MakeFixture(31, 63);
+    StateEvaluator scalar(f.base, f.prefs, model);
+    BatchEvaluator batch(f.base, f.prefs, model);
+    // Every single-bit state, then the empty and the full K=63 state.
+    std::vector<uint64_t> masks;
+    for (size_t i = 0; i < 63; ++i) masks.push_back(uint64_t{1} << i);
+    masks.push_back(0);
+    masks.push_back((uint64_t{1} << 63) - 1);
+    BatchEvaluator::Results results;
+    batch.EvaluateMasks(masks.data(), masks.size(), &results);
+    ASSERT_EQ(results.n, masks.size());
+    for (size_t l = 0; l < masks.size(); ++l) {
+      ExpectExactlyEqual(results.Get(l), scalar.EvaluateBits(masks[l]),
+                         "lane=" + std::to_string(l));
+    }
   }
 }
 
-TEST(BatchEvaluatorTest, PaddingAndAccounting) {
+TEST(BatchEvaluatorTest, EvaluateSequenceFullFamiliesMatchExtendWithChain) {
+  for (ConjunctionModel model :
+       {ConjunctionModel::kNoisyOr, ConjunctionModel::kSumCapped}) {
+    Fixture f = MakeFixture(11, 20);
+    StateEvaluator scalar(f.base, f.prefs, model);
+    BatchEvaluator batch(f.base, f.prefs, model);
+    Rng rng(static_cast<uint64_t>(model) + 17);
+    for (size_t len = 0; len <= BatchEvaluator::kMaxFamilyBits + 1; ++len) {
+      std::vector<int32_t> all(20);
+      for (int32_t i = 0; i < 20; ++i) all[i] = i;
+      rng.Shuffle(all);
+      StateParams parent = scalar.EmptyState();
+      for (size_t i = 0; i < 3; ++i) {
+        parent = scalar.ExtendWith(parent, all[i]);
+      }
+      const auto first = all.begin() + 3;
+      const std::vector<int32_t> seq(first,
+                                     first + static_cast<ptrdiff_t>(len));
+      const size_t n = size_t{1} << len;
+      // Identity lane order (MinCost-BB's tail: mask l == l) and the
+      // bit-reversed order of Exhaustive's tail (position j included iff
+      // bit len-1-j of l is set).
+      std::vector<uint64_t> identity(n);
+      std::vector<uint64_t> reversed(n);
+      for (size_t l = 0; l < n; ++l) {
+        identity[l] = l;
+        for (size_t j = 0; j < len; ++j) {
+          if ((l >> (len - 1 - j)) & 1) reversed[l] |= uint64_t{1} << j;
+        }
+      }
+      // Partial families: every lane but the last, and every other lane.
+      std::vector<uint64_t> all_but_last(identity.begin(), identity.end() - 1);
+      std::vector<uint64_t> every_other;
+      for (size_t l = 0; l < n; l += 2) every_other.push_back(reversed[l]);
+      for (const std::vector<uint64_t>* lanes :
+           {&identity, &reversed, &all_but_last, &every_other}) {
+        BatchEvaluator::Results results;
+        batch.EvaluateSequence(parent, seq.data(), seq.size(), lanes->data(),
+                               lanes->size(), &results);
+        ASSERT_EQ(results.n, lanes->size());
+        for (size_t l = 0; l < lanes->size(); ++l) {
+          ExpectExactlyEqual(results.Get(l),
+                             SequenceChain(scalar, parent, seq, (*lanes)[l]),
+                             "len=" + std::to_string(len) +
+                                 " lanes=" + std::to_string(lanes->size()) +
+                                 " lane=" + std::to_string(l));
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchEvaluatorTest, EmptyBatchAndExtremeValues) {
   Fixture f = MakeFixture(5, 6);
   BatchEvaluator batch(f.base, f.prefs);
-  const size_t w = batch.lane_width();
-  EXPECT_EQ(batch.PaddedLanes(0), 0u);
-  EXPECT_EQ(batch.PaddedLanes(1), w);
-  EXPECT_EQ(batch.PaddedLanes(w), w);
-  EXPECT_EQ(batch.PaddedLanes(w + 1), 2 * w);
   // n = 0 is a no-op, not a crash.
   BatchEvaluator::Results results;
   batch.EvaluateMasks(nullptr, 0, &results);
   EXPECT_EQ(results.n, 0u);
-  // Extreme dois and selectivities pass through the kernels unchanged.
+  // Extreme dois and selectivities pass through unchanged.
   std::vector<ScoredPreference> edge;
   edge.push_back(MakeSyntheticPref(0, 1.0, f.base.cost_ms, 0.0, f.base.size));
   edge.push_back(MakeSyntheticPref(1, 0.0, f.base.cost_ms, 1.0, f.base.size));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "prefs/doi.h"
 #include "prefs/graph.h"
@@ -190,6 +192,42 @@ TEST(ProfileTest, RoundTripThroughText) {
   EXPECT_EQ(p2->selections().size(), 1u);
   EXPECT_EQ(p2->joins().size(), 1u);
   EXPECT_NEAR(p2->selections()[0].doi, 0.25, 1e-9);
+}
+
+TEST(ProfileTest, RoundTripKeepsDoiBitsExactly) {
+  const double dois[] = {0.0,
+                         -0.0,
+                         1.0,
+                         0.1,
+                         1.0 / 3.0,
+                         0.123456789012345678,
+                         std::nextafter(1.0, 0.0),
+                         1e-300,
+                         0.5000005};
+  Profile profile;
+  int i = 0;
+  for (double doi : dois) {
+    ASSERT_TRUE(profile
+                    .AddSelection(AtomicSelection{
+                        "GENRE", "genre", catalog::CompareOp::kEq,
+                        catalog::Value("g" + std::to_string(i++)), doi})
+                    .ok());
+  }
+  ASSERT_TRUE(profile.AddJoin(AtomicJoin{"MOVIE", "mid", "GENRE", "mid",
+                                         0.987654321987654321})
+                  .ok());
+  auto parsed = Profile::Parse(profile.ToText());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->selections().size(), std::size(dois));
+  for (size_t j = 0; j < std::size(dois); ++j) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed->selections()[j].doi),
+              std::bit_cast<uint64_t>(dois[j]))
+        << j << ": " << profile.ToText();
+  }
+  ASSERT_EQ(parsed->joins().size(), 1u);
+  EXPECT_EQ(parsed->joins()[0].doi, profile.joins()[0].doi);
+  // The text is a fixed point of the round trip.
+  EXPECT_EQ(parsed->ToText(), profile.ToText());
 }
 
 TEST(ProfileTest, ValidateAgainstSchema) {

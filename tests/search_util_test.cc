@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.h"
 #include "cqp/algorithms.h"
 #include "cqp/search_util.h"
@@ -84,6 +86,99 @@ TEST(BoundaryStoreTest, DescendingBySizeOrder) {
   EXPECT_EQ(ordered[1].size(), 2u);
   EXPECT_EQ(ordered[2].size(), 1u);
   EXPECT_EQ(metrics.boundaries_found, 3u);
+}
+
+// ---------- BitBoundaryStore ----------
+
+TEST(BitBoundaryStoreTest, PrunesPerGroupAndOrdersBySize) {
+  SearchMetrics metrics;
+  BitBoundaryStore store(metrics);
+  EXPECT_TRUE(store.empty());
+  store.Add(IndexSet{0, 2}.Bits());
+  EXPECT_TRUE(store.DominatesAny(IndexSet{1, 3}.Bits()));
+  EXPECT_FALSE(store.DominatesAny(IndexSet{0, 1}.Bits()));
+  EXPECT_FALSE(store.DominatesAny(IndexSet{1, 2, 3}.Bits()));
+  EXPECT_FALSE(store.DominatesAny(IndexSet{0, 2}.Bits()));
+  store.Add(IndexSet{0}.Bits());
+  store.Add(IndexSet{0, 1, 2}.Bits());
+  // {0,1} dominates {0,2}, which is dropped as redundant.
+  store.Add(IndexSet{0, 1}.Bits());
+  EXPECT_EQ(store.DescendingBySize(),
+            (std::vector<IndexSet>{IndexSet{0, 1, 2}, IndexSet{0, 1},
+                                   IndexSet{0}}));
+  EXPECT_EQ(metrics.boundaries_found, 4u);
+  EXPECT_EQ(metrics.memory.current_bytes(), 3 * sizeof(uint64_t));
+}
+
+TEST(BitBoundaryStoreTest, BoundaryAddedAfterCheckStillPrunes) {
+  // The phase-1 pattern: a state passes its push-time domination check,
+  // then a boundary dominating it is added before it is popped. The pop-
+  // time check must see the new boundary.
+  SearchMetrics metrics;
+  BitBoundaryStore store(metrics);
+  store.Add(IndexSet{0, 3}.Bits());  // does not dominate {1, 2}
+  const uint64_t state = IndexSet{1, 2}.Bits();
+  ASSERT_FALSE(store.DominatesAny(state));
+  const uint32_t pushed_at = store.Generation(state);
+  // Unchanged group: the known answer is reused.
+  EXPECT_FALSE(store.DominatesAnySince(state, pushed_at));
+  // A boundary in another group leaves the generation alone.
+  store.Add(IndexSet{0, 1, 2}.Bits());
+  EXPECT_EQ(store.Generation(state), pushed_at);
+  EXPECT_FALSE(store.DominatesAnySince(state, pushed_at));
+  // A dominating boundary in the same group moves it, and prunes.
+  store.Add(IndexSet{0, 2}.Bits());
+  EXPECT_NE(store.Generation(state), pushed_at);
+  EXPECT_TRUE(store.DominatesAnySince(state, pushed_at));
+  // A non-dominating Add to the same group also forces a real check,
+  // which answers false.
+  const uint64_t other = IndexSet{0, 1}.Bits();
+  const uint32_t before = store.Generation(other);
+  ASSERT_FALSE(store.DominatesAny(other));
+  store.Add(IndexSet{1, 3}.Bits());
+  EXPECT_FALSE(store.DominatesAnySince(other, before));
+}
+
+TEST(BitBoundaryStoreTest, VerticalNeighborCheckMatchesDominatesAny) {
+  // Under its precondition (no boundary dominates or equals the parent)
+  // the filtered check must agree with the full scan on every neighbor.
+  Rng rng(29);
+  size_t checked = 0;
+  size_t dominated = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t k = 6 + static_cast<size_t>(rng.Uniform(0, 10));
+    const int members = 1 + static_cast<int>(rng.Uniform(0, 4));
+    auto random_state = [&] {
+      uint64_t s = 0;
+      while (std::popcount(s) < members) {
+        s |= uint64_t{1} << rng.Uniform(0, static_cast<int64_t>(k) - 1);
+      }
+      return s;
+    };
+    SearchMetrics metrics;
+    BitBoundaryStore store(metrics);
+    for (int i = 0; i < 6; ++i) store.Add(random_state());
+    for (int i = 0; i < 20; ++i) {
+      const uint64_t parent = random_state();
+      if (store.DominatesAny(parent)) continue;
+      bool stored = false;
+      for (const IndexSet& b : store.DescendingBySize()) {
+        stored = stored || b.Bits() == parent;
+      }
+      if (stored) continue;
+      ForEachVerticalNeighborBits(parent, k, [&](uint64_t v) {
+        const int to = std::bit_width(v ^ parent) - 1;
+        const bool full = store.DominatesAny(v);
+        EXPECT_EQ(store.DominatesVerticalNeighbor(v, to), full)
+            << "parent " << IndexSet::FromBits(parent).ToString() << " v "
+            << IndexSet::FromBits(v).ToString();
+        ++checked;
+        dominated += full;
+      });
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(dominated, 50u);  // the filter must also say yes, not only no
 }
 
 // ---------- GreedyFill ----------

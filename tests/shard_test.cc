@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -15,6 +16,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "construct/personalizer.h"
+#include "cqp/problem.h"
+#include "prefs/graph.h"
 #include "server/durable_profile_store.h"
 #include "server/profile_store.h"
 #include "server/shard/profile_shard.h"
@@ -140,6 +144,46 @@ TEST_F(ShardTest, EvictionUnderBytePressure) {
     ASSERT_NE(found.graph, nullptr) << "u" << i;
   }
   EXPECT_GT((*shard)->stats().page_ins, 0u);
+}
+
+TEST_F(ShardTest, PagedInProfileAnswersBitIdentically) {
+  // Generated profiles carry full-precision dois. A page-in rebuilds the
+  // graph from the journal's profile text, which must not round them.
+  const prefs::Profile& profile = (*profiles_)[0];
+  auto answer = [](const prefs::PersonalizationGraph& graph) {
+    construct::Personalizer personalizer(db_, &graph);
+    construct::PersonalizeRequest request;
+    request.sql = "SELECT title FROM MOVIE";
+    request.problem = cqp::ProblemSpec::Problem2(1e9);
+    request.algorithm = "C-Boundaries";
+    auto result = personalizer.Personalize(request);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return std::string();
+    const cqp::Solution& s = result->solution;
+    return result->final_sql + " | " + s.chosen.ToString() + " | " +
+           std::to_string(std::bit_cast<uint64_t>(s.params.doi)) + " " +
+           std::to_string(std::bit_cast<uint64_t>(s.params.cost_ms)) + " " +
+           std::to_string(std::bit_cast<uint64_t>(s.params.size));
+  };
+  auto graph = prefs::PersonalizationGraph::Build(profile, *db_);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  const std::string before = answer(*graph);
+  ASSERT_FALSE(before.empty());
+
+  TempDir dir;
+  ShardedStoreOptions options;
+  options.dir = dir.path();
+  options.num_shards = 1;
+  options.resident_budget_bytes = 1;  // nothing stays resident once cold
+  auto store = ShardedProfileStore::Open(db_, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->Put("u0", profile).ok());
+  ASSERT_TRUE((*store)->Put("u1", (*profiles_)[1]).ok());
+  ASSERT_GT((*store)->shard(0).stats().evictions, 0u);
+  ProfileStore::Snapshot found = (*store)->FindSnapshot("u0");
+  ASSERT_NE(found.graph, nullptr);
+  EXPECT_GT((*store)->shard(0).stats().page_ins, 0u);
+  EXPECT_EQ(answer(*found.graph), before);
 }
 
 TEST_F(ShardTest, ConcurrentColdFindsShareOnePageIn) {
