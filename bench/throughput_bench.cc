@@ -3,13 +3,14 @@
 // latency and search states/sec for batch sizes {1, 8, 64, 256} at
 // 1/2/4/8 worker threads.
 //
-// Each batch cycles through every (profile, query) pair; requests of the
-// same pair share one EvalCache and every cell owns one PlanCache (both
-// fresh per cell, so every cell starts cold and the thread sweep is an
-// apples-to-apples comparison). With --repeat, the same requests run
-// again against the now-warm caches and the final repetition is recorded
-// as a separate "warm" cell — steady-state numbers without disturbing
-// the cold cell's identity in the JSON record.
+// Each batch cycles through every (profile, query) pair, and every cell
+// owns one PlanCache (fresh per cell, so every cell starts cold and the
+// thread sweep is an apples-to-apples comparison). With --repeat, the same
+// requests run again against the now-warm PlanCache and the final
+// repetition is recorded as a separate "warm" cell — steady-state numbers
+// without disturbing the cold cell's identity in the JSON record. "Warm"
+// means a warm PlanCache only: search itself keeps no memo across
+// requests.
 //
 // Emits a table on stdout plus a JSON record (--json PATH, default
 // BENCH_throughput.json next to the working directory) for the bench
@@ -31,7 +32,6 @@
 #include "bench_util.h"
 #include "construct/personalizer.h"
 #include "construct/plan_cache.h"
-#include "estimation/eval_cache.h"
 
 namespace {
 
@@ -49,8 +49,6 @@ struct ThroughputCell {
   size_t degraded = 0;
   uint64_t states = 0;
   double states_per_sec = 0.0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   uint64_t frontiers = 0;
   uint64_t frontier_states = 0;
 };
@@ -82,8 +80,6 @@ ThroughputCell MakeCell(const cqp::construct::BatchResult& result,
           ? 1000.0 * static_cast<double>(result.states_examined) /
                 result.wall_ms
           : 0.0;
-  cell.cache_hits = result.eval_cache_hits;
-  cell.cache_misses = result.eval_cache_misses;
   cell.frontiers = result.frontiers_evaluated;
   cell.frontier_states = result.frontier_states;
   for (const auto& r : result.results) {
@@ -95,9 +91,9 @@ ThroughputCell MakeCell(const cqp::construct::BatchResult& result,
   return cell;
 }
 
-/// Runs one (batch, threads) cell `repeat` times over cell-local caches and
-/// appends the cold cell (repetition 0) and, when repeat > 1, the warm one
-/// (the last repetition) to `out`.
+/// Runs one (batch, threads) cell `repeat` times over a cell-local plan cache
+/// and appends the cold cell (repetition 0) and, when repeat > 1, the warm
+/// one (the last repetition) to `out`.
 void RunCell(const cqp::workload::ExperimentContext& ctx, size_t batch,
              size_t threads, size_t repeat,
              std::vector<ThroughputCell>* out) {
@@ -105,10 +101,9 @@ void RunCell(const cqp::workload::ExperimentContext& ctx, size_t batch,
   const auto& queries = ctx.queries();
   const size_t pairs = graphs.size() * queries.size();
 
-  // One memo per (profile, query) pair plus one plan cache, fresh for this
-  // cell and shared across repetitions: repeats within a batch — and every
-  // request of a warm repetition — hit warm entries.
-  std::vector<cqp::estimation::EvalCache> caches(pairs);
+  // One plan cache, fresh for this cell and shared across repetitions:
+  // repeats within a batch — and every request of a warm repetition — hit
+  // warm entries.
   cqp::construct::PlanCache plan_cache;
 
   cqp::construct::Personalizer personalizer(&ctx.db(), &graphs[0]);
@@ -119,7 +114,6 @@ void RunCell(const cqp::workload::ExperimentContext& ctx, size_t batch,
     cqp::construct::PersonalizeRequest request;
     request.query = queries[pair % queries.size()];
     request.graph = &graphs[pair / queries.size()];
-    request.eval_cache = &caches[pair];
     request.plan_cache = &plan_cache;
     request.profile_id = "p" + std::to_string(pair / queries.size());
     request.profile_version = 1;
@@ -146,23 +140,16 @@ void RunCell(const cqp::workload::ExperimentContext& ctx, size_t batch,
 
 void AppendCellJson(std::string& json, const ThroughputCell& c, bool last) {
   char buf[768];
-  uint64_t lookups = c.cache_hits + c.cache_misses;
   std::snprintf(
       buf, sizeof buf,
       "    {\"batch\": %zu, \"threads\": %zu, %s\"wall_ms\": %.3f, "
       "\"qps\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"ok\": %zu, "
       "\"degraded\": %zu, \"states\": %llu, \"states_per_sec\": %.0f, "
-      "\"eval_cache_hits\": %llu, \"eval_cache_misses\": %llu, "
-      "\"eval_cache_hit_rate\": %.4f, \"frontiers\": %llu, "
-      "\"frontier_states\": %llu, \"avg_frontier_width\": %.2f}%s\n",
+      "\"frontiers\": %llu, \"frontier_states\": %llu, "
+      "\"avg_frontier_width\": %.2f}%s\n",
       c.batch, c.threads, c.warm ? "\"phase\": \"warm\", " : "", c.wall_ms,
       c.qps, c.p50_ms, c.p99_ms, c.ok, c.degraded,
       static_cast<unsigned long long>(c.states), c.states_per_sec,
-      static_cast<unsigned long long>(c.cache_hits),
-      static_cast<unsigned long long>(c.cache_misses),
-      lookups == 0 ? 0.0
-                   : static_cast<double>(c.cache_hits) /
-                         static_cast<double>(lookups),
       static_cast<unsigned long long>(c.frontiers),
       static_cast<unsigned long long>(c.frontier_states),
       c.frontiers == 0 ? 0.0
@@ -191,9 +178,9 @@ int Run(bool smoke, const std::string& json_path, size_t repeat) {
   std::vector<size_t> thread_counts =
       smoke ? std::vector<size_t>{1, 2} : std::vector<size_t>{1, 2, 4, 8};
 
-  std::printf("%6s %8s %5s %10s %10s %10s %10s %6s %12s %10s\n", "batch",
+  std::printf("%6s %8s %5s %10s %10s %10s %10s %6s %12s\n", "batch",
               "threads", "phase", "wall_ms", "q/s", "p50_ms", "p99_ms",
-              "degr", "states/s", "hit_rate");
+              "degr", "states/s");
   std::vector<ThroughputCell> cells;
   for (size_t batch : batches) {
     for (size_t threads : thread_counts) {
@@ -201,15 +188,11 @@ int Run(bool smoke, const std::string& json_path, size_t repeat) {
       RunCell(ctx, batch, threads, repeat, &cells);
       for (size_t i = before; i < cells.size(); ++i) {
         const ThroughputCell& cell = cells[i];
-        uint64_t lookups = cell.cache_hits + cell.cache_misses;
         std::printf(
-            "%6zu %8zu %5s %10.1f %10.1f %10.2f %10.2f %6zu %12.0f %9.1f%%\n",
+            "%6zu %8zu %5s %10.1f %10.1f %10.2f %10.2f %6zu %12.0f\n",
             cell.batch, cell.threads, cell.warm ? "warm" : "cold",
             cell.wall_ms, cell.qps, cell.p50_ms, cell.p99_ms, cell.degraded,
-            cell.states_per_sec,
-            lookups == 0 ? 0.0
-                         : 100.0 * static_cast<double>(cell.cache_hits) /
-                               static_cast<double>(lookups));
+            cell.states_per_sec);
       }
     }
   }

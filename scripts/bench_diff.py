@@ -54,11 +54,6 @@ IGNORED = {"states", "requests", "identity_checked", "shed", "other",
            # enforced by the bench itself (it fails the run).
            "page_ins", "page_in_waits", "pinned_skips", "cold_finds",
            "mixed_requests", "rss_mb", "open_ms", "build_ms",
-           # EvalCache traffic of the throughput bench: the SoA/SIMD batch
-           # path evaluates frontiers cachelessly by design (docs/simd.md),
-           # so probe counts track code structure, not quality. The plan
-           # cache bench's `cache_hits` stays judged.
-           "eval_cache_hits", "eval_cache_misses", "eval_cache_hit_rate",
            # Rewrite bench: the unoptimized side of each delta (tracks the
            # generated workload, judged only through the *_reduction_pct
            # and the post-rewrite metrics above).

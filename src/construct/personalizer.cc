@@ -9,7 +9,6 @@
 #include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "estimation/batch_evaluator.h"
-#include "estimation/eval_cache.h"
 #include "exec/executor.h"
 #include "sql/fingerprint.h"
 #include "sql/parser.h"
@@ -230,12 +229,6 @@ StatusOr<PersonalizeResult> Personalizer::SolveResolved(
   const space::PreferenceSpaceResult& view = *result.space;
 
   cqp::SearchContext ctx(request.budget);
-  // Every rung of the ladder serves the same (query, profile) pair, so one
-  // memo is valid for the whole request; callers knowing the pair is stable
-  // across requests can pass a longer-lived cache instead.
-  estimation::EvalCache local_cache;
-  ctx.eval_cache =
-      request.eval_cache != nullptr ? request.eval_cache : &local_cache;
   ctx.allow_batch_eval = !request.disable_batch_eval;
   // The shared SoA artifact rides on the PreparedSpace next to the view it
   // was built over (same ProblemPruneKey memo), so its prefs_identity()
@@ -394,8 +387,6 @@ BatchResult Personalizer::PersonalizeBatch(
     if (slots[i]->ok()) {
       const PersonalizeResult& r = **slots[i];
       batch.states_examined += r.metrics.states_examined;
-      batch.eval_cache_hits += r.metrics.eval_cache_hits;
-      batch.eval_cache_misses += r.metrics.eval_cache_misses;
       batch.frontiers_evaluated += r.metrics.frontiers_evaluated;
       batch.frontier_states += r.metrics.frontier_states;
       if (r.plan_cache_hit) ++batch.plan_cache_hits;

@@ -67,14 +67,6 @@ struct PersonalizeRequest {
   /// Per-request profile override; nullptr uses the personalizer's graph.
   /// Lets one batch serve several users' profiles side by side.
   const prefs::PersonalizationGraph* graph = nullptr;
-  /// Caller-owned evaluation memo for this request's (query, profile)
-  /// pair; nullptr gives the request a private cache for the duration of
-  /// its fallback ladder. Share one cache across requests ONLY when they
-  /// personalize the same query under the same profile AND the same
-  /// monotone prune bounds (space::ProblemPruneKey) — the cache key is the
-  /// preference subset alone, and different bounds index different
-  /// per-problem views (see estimation/eval_cache.h).
-  estimation::EvalCache* eval_cache = nullptr;
   /// Forces every rung onto the scalar evaluation path (no SoA batch
   /// evaluation; docs/simd.md). The batch path is bit-for-bit identical, so
   /// this exists for differential testing and benchmarking, not accuracy.
@@ -151,8 +143,6 @@ struct BatchResult {
   std::vector<double> latencies_ms;  ///< per-request wall time
   double wall_ms = 0.0;              ///< whole-batch wall time
   uint64_t states_examined = 0;
-  uint64_t eval_cache_hits = 0;
-  uint64_t eval_cache_misses = 0;
   uint64_t frontiers_evaluated = 0;  ///< batch evaluation calls
   uint64_t frontier_states = 0;      ///< states inside those frontiers
   uint64_t plan_cache_hits = 0;  ///< requests whose Prepare() hit the cache
@@ -202,8 +192,8 @@ class Personalizer {
 
   /// The problem-dependent half: derives the per-problem view of
   /// `prepared.space`, runs the algorithm + degradation ladder, constructs
-  /// the personalized query. `request` supplies problem, algorithm, budget,
-  /// fallback policy and eval cache; its sql/query fields are ignored in
+  /// the personalized query. `request` supplies problem, algorithm, budget
+  /// and fallback policy; its sql/query fields are ignored in
   /// favor of `prepared.query`. Bit-for-bit identical to Personalize() on
   /// the same inputs, however `prepared` was obtained (cold or cached).
   StatusOr<PersonalizeResult> Solve(const PreparedQuery& prepared,
@@ -211,12 +201,11 @@ class Personalizer {
 
   /// Fans `requests` across a fixed worker pool and blocks until every one
   /// has answered. Requests are fully independent: each gets its own
-  /// SearchContext (budget, metrics, degradation ladder) and — unless the
-  /// request carries a shared eval_cache — its own evaluation memo, so
-  /// results are element-for-element identical to sequential Personalize()
-  /// calls. Cooperative cancellation works unchanged: a CancelToken in a
-  /// request's budget makes that request degrade to its original query,
-  /// never tearing the batch.
+  /// SearchContext (budget, metrics, degradation ladder), so results are
+  /// element-for-element identical to sequential Personalize() calls.
+  /// Cooperative cancellation works unchanged: a CancelToken in a request's
+  /// budget makes that request degrade to its original query, never
+  /// tearing the batch.
   BatchResult PersonalizeBatch(
       const std::vector<PersonalizeRequest>& requests,
       const BatchOptions& options = BatchOptions()) const;

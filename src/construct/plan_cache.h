@@ -74,9 +74,8 @@ class PlanCache {
               std::shared_ptr<const space::PreparedSpace> space);
 
   /// Drops every entry of `profile_id` regardless of version; returns the
-  /// number removed. Call alongside EvalCacheRegistry::InvalidateProfile on
-  /// profile reload — version keying already makes stale hits impossible,
-  /// invalidation just frees the memory promptly.
+  /// number removed. Call on profile reload — version keying already makes
+  /// stale hits impossible, invalidation just frees the memory promptly.
   size_t InvalidateProfile(const std::string& profile_id);
 
   /// Drops everything (counts as invalidations, not evictions).

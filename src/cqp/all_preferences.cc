@@ -17,7 +17,7 @@ StatusOr<Solution> AllPreferencesAlgorithm::Solve(
     SearchContext& ctx) const {
   CQP_RETURN_IF_ERROR(problem.Validate());
   Stopwatch timer;
-  estimation::StateEvaluator evaluator = space.MakeEvaluator(ctx.eval_cache);
+  estimation::StateEvaluator evaluator = space.MakeEvaluator();
 
   Solution s;
   std::vector<int32_t> all;

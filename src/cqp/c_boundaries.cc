@@ -129,7 +129,7 @@ StatusOr<Solution> CBoundariesAlgorithm::Solve(
   CQP_ASSIGN_OR_RETURN(SpaceKind kind, BoundSpaceKindFor(problem));
   Stopwatch timer;
   SearchMetrics& metrics = ctx.metrics;
-  estimation::StateEvaluator evaluator = space.MakeEvaluator(ctx.eval_cache);
+  estimation::StateEvaluator evaluator = space.MakeEvaluator();
   SpaceView view = SpaceView::ForKind(&evaluator, &problem, kind, space);
   std::optional<estimation::BatchEvaluator> local_batch;
   view.set_batch(ResolveBatchEvaluator(space, ctx, local_batch));

@@ -155,7 +155,7 @@ StatusOr<Solution> CMaxBoundsAlgorithm::Solve(
   }
   Stopwatch timer;
   SearchMetrics& metrics = ctx.metrics;
-  estimation::StateEvaluator evaluator = space.MakeEvaluator(ctx.eval_cache);
+  estimation::StateEvaluator evaluator = space.MakeEvaluator();
   SpaceView view = SpaceView::ForKind(&evaluator, &problem, kind, space);
   std::optional<estimation::BatchEvaluator> local_batch;
   view.set_batch(ResolveBatchEvaluator(space, ctx, local_batch));

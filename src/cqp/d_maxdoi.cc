@@ -28,7 +28,7 @@ StatusOr<Solution> SolveDMaxDoi(const space::PreferenceSpaceResult& space,
   CQP_RETURN_IF_ERROR(problem.Validate());
   Stopwatch timer;
   SearchMetrics& metrics = ctx.metrics;
-  estimation::StateEvaluator evaluator = space.MakeEvaluator(ctx.eval_cache);
+  estimation::StateEvaluator evaluator = space.MakeEvaluator();
   SpaceView view =
       SpaceView::ForKind(&evaluator, &problem, SpaceKind::kDoi, space);
   const size_t k = view.K();

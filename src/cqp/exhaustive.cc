@@ -6,7 +6,6 @@
 #include "cqp/algorithms.h"
 #include "cqp/search_util.h"
 #include "estimation/batch_evaluator.h"
-#include "estimation/eval_cache.h"
 
 namespace cqp::cqp {
 
@@ -26,12 +25,6 @@ struct ExhaustiveState {
   SearchContext* ctx;
   Solution best;
   std::vector<int32_t> current;
-  /// Cache integration: K <= 25 guarantees a uint64_t key, and the
-  /// recursion includes indices in ascending order — the evaluator's
-  /// canonical order — so incrementally-extended params are bit-for-bit
-  /// equal to EvaluateBits() results and may be memoized directly.
-  estimation::EvalCache* cache = nullptr;
-  uint64_t bits = 0;  ///< Bits() of `current`, maintained when cache set
 };
 
 void Recurse(ExhaustiveState& st, size_t i,
@@ -52,24 +45,8 @@ void Recurse(ExhaustiveState& st, size_t i,
   Recurse(st, i + 1, params);
   // Include preference i.
   st.current.push_back(static_cast<int32_t>(i));
-  if (st.cache != nullptr) {
-    uint64_t child_bits = st.bits | (uint64_t{1} << i);
-    estimation::StateParams child;
-    if (st.cache->Find(child_bits, &child)) {
-      ++st.ctx->metrics.eval_cache_hits;
-    } else {
-      child = st.evaluator->ExtendWith(params, static_cast<int32_t>(i));
-      st.cache->Insert(child_bits, child);
-      ++st.ctx->metrics.eval_cache_misses;
-    }
-    uint64_t saved_bits = st.bits;
-    st.bits = child_bits;
-    Recurse(st, i + 1, child);
-    st.bits = saved_bits;
-  } else {
-    Recurse(st, i + 1,
-            st.evaluator->ExtendWith(params, static_cast<int32_t>(i)));
-  }
+  Recurse(st, i + 1,
+          st.evaluator->ExtendWith(params, static_cast<int32_t>(i)));
   st.current.pop_back();
 }
 
@@ -164,24 +141,18 @@ StatusOr<Solution> ExhaustiveAlgorithm::Solve(
         "Exhaustive search refuses K > 25 (exponential state space)");
   }
   Stopwatch timer;
-  estimation::StateEvaluator evaluator = space.MakeEvaluator(ctx.eval_cache);
+  estimation::StateEvaluator evaluator = space.MakeEvaluator();
 
   ExhaustiveState st;
   st.evaluator = &evaluator;
   st.problem = &problem;
   st.ctx = &ctx;
-  st.cache = ctx.eval_cache;
   st.best = InfeasibleSolution(evaluator);
-  // When an EvalCache is attached the cached scalar recursion stays in
-  // charge — its memoized params feed other solves over the same space.
-  // Cacheless (the differential harness's default and the profile's cold
-  // path), the batched enumeration wins: nothing to share, so the leaves
-  // are evaluated as 2^L-wide frontiers instead.
+  // The leaves are evaluated as 2^L-wide frontiers whenever batch
+  // evaluation is allowed; the scalar recursion is the forced-scalar path.
   std::optional<estimation::BatchEvaluator> local_batch;
   const estimation::BatchEvaluator* batch =
-      ctx.eval_cache == nullptr
-          ? ResolveBatchEvaluator(space, ctx, local_batch)
-          : nullptr;
+      ResolveBatchEvaluator(space, ctx, local_batch);
   // Note: both recursions visit states once each, evaluating
   // incrementally; they visit the empty state first, so the fallback
   // "original query" is always considered.

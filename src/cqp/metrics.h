@@ -17,7 +17,7 @@ namespace cqp::cqp {
 /// worker — each request in a PersonalizeBatch owns its SearchContext and
 /// therefore its metrics — and batch-level totals are produced by summing
 /// the per-worker records after WaitAll(). Never point two threads at the
-/// same instance; shared tallies (e.g. a process-wide cache hit rate) must
+/// same instance; shared tallies (e.g. a process-wide states total) must
 /// be aggregated from these per-run records, not mutated in place.
 struct SearchMetrics {
   /// True when the budget stopped the search before completion; exact
@@ -30,13 +30,6 @@ struct SearchMetrics {
   uint64_t transitions = 0;
   /// Boundaries / maximal boundaries / chain solutions found in phase 1.
   uint64_t boundaries_found = 0;
-  /// Full state evaluations answered by the EvalCache attached to the run's
-  /// evaluator (0 when no cache is attached). Incremental ExtendWith calls
-  /// bypass the cache and count under states_examined only.
-  uint64_t eval_cache_hits = 0;
-  /// Full state evaluations that missed the cache and were computed (then
-  /// inserted). hits + misses = cache-routed evaluations, not all states.
-  uint64_t eval_cache_misses = 0;
   /// Batch (SoA) evaluation calls issued through a BatchEvaluator; 0 on
   /// scalar-only runs. frontier_states / frontiers_evaluated is the
   /// average frontier width of a call.

@@ -146,8 +146,7 @@ StatusOr<Solution> MinCostBranchBoundAlgorithm::Solve(
     return FailedPrecondition("MinCost-BB solves cost-minimization problems");
   }
   Stopwatch timer;
-  estimation::StateEvaluator evaluator =
-      space.MakeEvaluator(search_ctx.eval_cache);
+  estimation::StateEvaluator evaluator = space.MakeEvaluator();
 
   BbContext ctx;
   ctx.evaluator = &evaluator;
@@ -215,7 +214,7 @@ StatusOr<Solution> MinCostGreedyAlgorithm::Solve(
   }
   Stopwatch timer;
   SearchMetrics& metrics = ctx.metrics;
-  estimation::StateEvaluator evaluator = space.MakeEvaluator(ctx.eval_cache);
+  estimation::StateEvaluator evaluator = space.MakeEvaluator();
   const size_t k = evaluator.K();
 
   estimation::StateParams params = evaluator.EmptyState();

@@ -70,7 +70,7 @@ StatusOr<std::vector<ParetoPoint>> ParetoFront(
     return FailedPrecondition("ParetoFront enumerates 2^K states; K > 20");
   }
   Stopwatch timer;
-  estimation::StateEvaluator evaluator = space.MakeEvaluator(ctx.eval_cache);
+  estimation::StateEvaluator evaluator = space.MakeEvaluator();
 
   std::vector<ParetoPoint> feasible;
   std::vector<int32_t> current;
@@ -189,7 +189,7 @@ StatusOr<Solution> SolveScalarized(const space::PreferenceSpaceResult& space,
     return FailedPrecondition("SolveScalarized refuses K > 25");
   }
   Stopwatch timer;
-  estimation::StateEvaluator evaluator = space.MakeEvaluator(search.eval_cache);
+  estimation::StateEvaluator evaluator = space.MakeEvaluator();
 
   ScalarizedContext ctx;
   ctx.evaluator = &evaluator;

@@ -9,7 +9,6 @@
 
 namespace cqp::estimation {
 class BatchEvaluator;
-class EvalCache;
 }  // namespace cqp::estimation
 
 namespace cqp::cqp {
@@ -92,12 +91,6 @@ class SearchContext {
   /// Output record of the current (or last) Solve() run. Public: algorithms
   /// update counters directly, as do the container helpers they own.
   SearchMetrics metrics;
-
-  /// Optional memo of full state evaluations for this run's (query,
-  /// profile) pair; algorithms pass it to MakeEvaluator(). Deliberately
-  /// NOT cleared by ResetForRetry() — every rung of a fallback chain
-  /// serves the same pair, so warm entries stay valid across rungs.
-  estimation::EvalCache* eval_cache = nullptr;
 
   /// Optional shared SoA batch-evaluation artifact for this run's pruned
   /// space (space::PreparedSpace::BatchForProblem), built once at Prepare

@@ -65,27 +65,15 @@ estimation::StateParams SpaceView::Evaluate(const IndexSet& positions,
   if (evaluator_->K() < 64) {
     // Canonical path: integrate in ascending P-index order regardless of
     // this view's position order, so every space (C, D, S) computes
-    // bit-for-bit identical floats for the same preference set — the
-    // property that makes one EvalCache shareable across algorithms.
+    // bit-for-bit identical floats for the same preference set.
     uint64_t bits = 0;
     for (int32_t pos : positions) {
       bits |= uint64_t{1} << order_[static_cast<size_t>(pos)];
     }
-    bool cache_hit = false;
-    estimation::StateParams params =
-        evaluator_->EvaluateBitsCached(bits, &cache_hit);
-    if (evaluator_->cache() != nullptr) {
-      if (cache_hit) {
-        ++metrics.eval_cache_hits;
-      } else {
-        ++metrics.eval_cache_misses;
-      }
-    }
-    return params;
+    return evaluator_->EvaluateBits(bits);
   }
   // K >= 64 (never produced by extraction, possible in synthetic tests):
-  // no uint64_t key exists, so evaluate directly — still in ascending
-  // P-index order for consistency with the cached path.
+  // no uint64_t mask exists; IndexSet iteration is ascending too.
   return evaluator_->Evaluate(ToPrefIndices(positions));
 }
 

@@ -105,8 +105,7 @@ class SpaceView {
 
   /// Batch-evaluates `n` sibling states given as position bitmasks, each in
   /// canonical ascending P-index order (bit-for-bit equal to Evaluate()).
-  /// Bumps states_examined and the frontier counters; the batch path is
-  /// cacheless by design, so eval_cache_hits/misses stay untouched.
+  /// Bumps states_examined and the frontier counters.
   void EvaluateFrontierBits(const uint64_t* pos_bits, size_t n,
                             estimation::BatchEvaluator::Results* out,
                             SearchMetrics& metrics) const;

@@ -120,8 +120,8 @@ class BoundaryStore {
 // --- Bitmask-domain companions for the batch-evaluation search loops ----
 //
 // The gprof profile of the C-Boundaries hot path showed ~75% of the time
-// in IndexSet hashing/allocation, EvalCache probes on a ~0%-hit cold path
-// and Dominates() calls — not in Formula evaluation. The batch search
+// in IndexSet hashing/allocation, memo-cache probes on a ~0%-hit cold
+// path and Dominates() calls — not in Formula evaluation. The batch search
 // loops therefore keep the whole phase-1 working set in the uint64
 // position-bitmask domain (k < 64): states are plain uint64s carried next
 // to their already-evaluated StateParams, the visited set is a bitmap,

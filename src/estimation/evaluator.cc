@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/logging.h"
-#include "estimation/eval_cache.h"
 
 namespace cqp::estimation {
 
@@ -38,9 +37,6 @@ StateParams StateEvaluator::SupremeState() const {
 }
 
 StateParams StateEvaluator::Evaluate(const IndexSet& subset) const {
-  if (cache_ != nullptr && prefs_->size() < 64) {
-    return EvaluateBitsCached(subset.Bits(), nullptr);
-  }
   StateParams s = EmptyState();
   for (int32_t i : subset) {
     CQP_CHECK_LT(static_cast<size_t>(i), prefs_->size());
@@ -57,23 +53,6 @@ StateParams StateEvaluator::EvaluateBits(uint64_t bits) const {
     s = ExtendWith(s, i);
     bits &= bits - 1;
   }
-  return s;
-}
-
-StateParams StateEvaluator::EvaluateBitsCached(uint64_t bits,
-                                               bool* cache_hit) const {
-  if (cache_ == nullptr) {
-    if (cache_hit != nullptr) *cache_hit = false;
-    return EvaluateBits(bits);
-  }
-  StateParams s;
-  if (cache_->Find(bits, &s)) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return s;
-  }
-  s = EvaluateBits(bits);
-  cache_->Insert(bits, s);
-  if (cache_hit != nullptr) *cache_hit = false;
   return s;
 }
 

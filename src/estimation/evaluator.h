@@ -11,8 +11,6 @@
 
 namespace cqp::estimation {
 
-class EvalCache;
-
 /// A preference admitted into the preference space P, together with its
 /// estimated per-sub-query parameters.
 struct ScoredPreference {
@@ -72,8 +70,7 @@ class StateEvaluator {
   /// personalized query; its cost is the paper's Supreme Cost).
   StateParams SupremeState() const;
 
-  /// O(|subset|) evaluation. `subset` holds indices into P. Routed through
-  /// the attached EvalCache (if any) when K < 64.
+  /// O(|subset|) evaluation. `subset` holds indices into P.
   StateParams Evaluate(const IndexSet& subset) const;
 
   /// Evaluate() for a Bits()-encoded subset. Members are integrated in
@@ -82,11 +79,6 @@ class StateEvaluator {
   /// (noisy-or composition is order-sensitive in the last ulp).
   StateParams EvaluateBits(uint64_t bits) const;
 
-  /// EvaluateBits() through the attached cache. Sets `*cache_hit` (when
-  /// non-null) so callers can bump their own SearchMetrics counters; the
-  /// evaluator itself keeps no mutable tallies and stays const-thread-safe.
-  StateParams EvaluateBitsCached(uint64_t bits, bool* cache_hit) const;
-
   /// O(1) incremental evaluation: `parent` extended with P-index `i`
   /// (which must not already be a member — not checked here).
   StateParams ExtendWith(const StateParams& parent, int32_t i) const;
@@ -94,17 +86,10 @@ class StateEvaluator {
   /// doi of a conjunction given by P-indices, under the configured model.
   double ConjunctionDoi(const IndexSet& subset) const;
 
-  /// Attaches a memo shared by every full evaluation this evaluator does.
-  /// The cache must outlive the evaluator and must only hold entries for
-  /// this evaluator's (query, profile) pair. nullptr detaches.
-  void set_cache(EvalCache* cache) { cache_ = cache; }
-  EvalCache* cache() const { return cache_; }
-
  private:
   QueryBaseEstimate base_;
   const std::vector<ScoredPreference>* prefs_;  ///< borrowed, never null
   prefs::ConjunctionModel model_;
-  EvalCache* cache_ = nullptr;
 };
 
 }  // namespace cqp::estimation

@@ -44,8 +44,8 @@ struct DurabilityOptions {
 /// a crash mid-append, and by the acknowledgement rule above the records
 /// it can contain were never acknowledged. The persisted version counter
 /// (snapshot header + per-record versions) keeps snapshot versions
-/// monotonic across restarts, so version-keyed caches (EvalCacheRegistry,
-/// PlanCache) can never confuse a pre-crash graph with a post-crash one.
+/// monotonic across restarts, so the version-keyed PlanCache can never
+/// confuse a pre-crash graph with a post-crash one.
 ///
 /// Failure policy: any journal append or fsync error wedges the store —
 /// mutations fail fast from then on (reads keep serving) until the process

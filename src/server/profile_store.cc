@@ -42,7 +42,6 @@ Status ProfileStore::Put(const std::string& id, prefs::Profile profile) {
   // depend on this ordering: cache keys embed the snapshot version, so a
   // request still holding the old graph can only touch old-version
   // entries. The invalidation reclaims their memory.
-  caches_.InvalidateProfile(id);
   plans_.InvalidateProfile(id);
   return WaitDurable(commit_token);
 }
@@ -62,7 +61,6 @@ Status ProfileStore::Remove(const std::string& id) {
     ++next_version_;
     graphs_.erase(it);
   }
-  caches_.InvalidateProfile(id);
   plans_.InvalidateProfile(id);
   return WaitDurable(commit_token);
 }

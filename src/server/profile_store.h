@@ -10,7 +10,6 @@
 
 #include "common/status.h"
 #include "construct/plan_cache.h"
-#include "estimation/eval_cache.h"
 #include "prefs/graph.h"
 #include "prefs/profile.h"
 #include "storage/database.h"
@@ -81,12 +80,11 @@ struct ShardTierStats {
 /// Graphs are handed out as shared_ptr<const …>: a hot-reload replacing a
 /// profile never invalidates the graph an in-flight request is using.
 ///
-/// The store owns an EvalCacheRegistry and a PlanCache and invalidates a
-/// profile's entries in both on every Put/Remove — the invalidation hook
-/// that keeps the server's cross-request memoization coherent with profile
-/// updates. Both cache families additionally embed the snapshot version in
-/// their keys, so invalidation is a memory-reclaim, never a correctness
-/// dependency.
+/// The store owns a PlanCache and invalidates a profile's entries on every
+/// Put/Remove — the invalidation hook that keeps the server's cross-request
+/// memoization coherent with profile updates. The cache additionally embeds
+/// the snapshot version in its keys, so invalidation is a memory-reclaim,
+/// never a correctness dependency.
 ///
 /// Durability: this base class is process-lifetime only. The write-ahead
 /// hooks (WriteAheadLocked / WaitDurable, no-ops here) let
@@ -107,11 +105,11 @@ class ProfileStore {
 
   /// Validates `profile` against the database, builds its graph and stores
   /// it under `id` (replacing any previous version). Invalidates the id's
-  /// evaluation caches. In a durable store, OK additionally means the
+  /// cached plans. In a durable store, OK additionally means the
   /// mutation is journaled and fsynced (it survives a crash).
   virtual Status Put(const std::string& id, prefs::Profile profile);
 
-  /// Removes `id` (and its caches). NotFound when absent.
+  /// Removes `id` (and its cached plans). NotFound when absent.
   virtual Status Remove(const std::string& id);
 
   /// Forces any buffered journal writes to disk. No-op for the in-memory
@@ -124,11 +122,11 @@ class ProfileStore {
   }
 
   /// One consistent view of a stored profile: the graph plus the version
-  /// stamped at Put time. The version participates in evaluation-cache
-  /// keys, so a request racing a hot-reload can only ever populate (and
-  /// read) a cache matching the graph it actually holds — stale cache
-  /// entries under a newer graph are impossible by construction, not just
-  /// by invalidation timing.
+  /// stamped at Put time. The version participates in plan-cache keys, so
+  /// a request racing a hot-reload can only ever populate (and read) a
+  /// cache entry matching the graph it actually holds — stale entries under
+  /// a newer graph are impossible by construction, not just by invalidation
+  /// timing.
   struct Snapshot {
     std::shared_ptr<const prefs::PersonalizationGraph> graph;  ///< null if unknown
     uint64_t version = 0;
@@ -160,23 +158,15 @@ class ProfileStore {
 
   virtual size_t size() const;
 
-  /// The per-(profile, query) evaluation-cache registry the server shares
-  /// across requests. Put/Remove invalidate per profile id automatically.
-  estimation::EvalCacheRegistry& caches() { return caches_; }
-
   /// The shared plan cache (PreparedSpace artifacts keyed by query
-  /// fingerprint + profile snapshot version). Same invalidation contract
-  /// as caches().
+  /// fingerprint + profile snapshot version). Put/Remove invalidate per
+  /// profile id automatically.
   construct::PlanCache& plans() { return plans_; }
 
-  /// The cache registry / plan cache responsible for `id`. The base store
-  /// has one of each; a sharded store returns the owning shard's slice so
-  /// cache traffic and invalidation never cross a shard lock. Request
-  /// paths must use these, not caches()/plans(), to stay shard-correct.
-  virtual estimation::EvalCacheRegistry& caches_for(const std::string& id) {
-    (void)id;
-    return caches_;
-  }
+  /// The plan cache responsible for `id`. The base store has one; a
+  /// sharded store returns the owning shard's slice so cache traffic and
+  /// invalidation never cross a shard lock. Request paths must use this,
+  /// not plans(), to stay shard-correct.
   virtual construct::PlanCache& plans_for(const std::string& id) {
     (void)id;
     return plans_;
@@ -243,7 +233,6 @@ class ProfileStore {
 
  private:
   const storage::Database* db_;
-  estimation::EvalCacheRegistry caches_;
   construct::PlanCache plans_;
   std::string directory_;  ///< guarded by mu_
 };

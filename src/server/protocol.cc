@@ -259,10 +259,6 @@ std::string SerializeResponse(const WireResponse& response) {
     result.Set("states",
                JsonValue::Number(static_cast<double>(r.states_examined)));
     result.Set("search_wall_ms", JsonValue::Number(r.search_wall_ms));
-    result.Set("cache_hits",
-               JsonValue::Number(static_cast<double>(r.eval_cache_hits)));
-    result.Set("cache_misses",
-               JsonValue::Number(static_cast<double>(r.eval_cache_misses)));
     result.Set("plan_cache_hit", JsonValue::Bool(r.plan_cache_hit));
     result.Set("server_ms", JsonValue::Number(r.server_ms));
     result.Set("attempts", StringsToJson(r.attempts));
@@ -334,11 +330,6 @@ StatusOr<WireResponse> ParseResponse(std::string_view line) {
     r.states_examined = static_cast<uint64_t>(states);
     CQP_ASSIGN_OR_RETURN(r.search_wall_ms,
                          GetNumber(*result, "search_wall_ms", 0.0));
-    CQP_ASSIGN_OR_RETURN(double hits, GetNumber(*result, "cache_hits", 0.0));
-    r.eval_cache_hits = static_cast<uint64_t>(hits);
-    CQP_ASSIGN_OR_RETURN(double misses,
-                         GetNumber(*result, "cache_misses", 0.0));
-    r.eval_cache_misses = static_cast<uint64_t>(misses);
     CQP_ASSIGN_OR_RETURN(r.plan_cache_hit,
                          GetBool(*result, "plan_cache_hit", false));
     CQP_ASSIGN_OR_RETURN(r.server_ms, GetNumber(*result, "server_ms", 0.0));

@@ -70,8 +70,6 @@ struct PersonalizeResultPayload {
   double size = 0.0;
   uint64_t states_examined = 0;
   double search_wall_ms = 0.0;
-  uint64_t eval_cache_hits = 0;
-  uint64_t eval_cache_misses = 0;
   bool plan_cache_hit = false;  ///< Prepare() was served from the plan cache
   double server_ms = 0.0;  ///< admission-to-response latency on the server
   std::vector<std::string> attempts;  ///< degradation-ladder trail

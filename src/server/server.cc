@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "space/prepared_space.h"
-
 namespace cqp::server {
 
 namespace {
@@ -364,14 +362,14 @@ void Server::RunPersonalize(const std::shared_ptr<Connection>& conn,
     // skip the search entirely (the whole point of connection-scoped
     // cancellation). Still counted as an errored request.
     stats_.OnRequestDone(/*ok=*/false, /*degraded_answer=*/false,
-                         MillisSince(admitted_at), 0, 0, 0);
+                         MillisSince(admitted_at), 0);
     return;
   }
 
   ProfileStore::Snapshot snapshot = profiles_->FindSnapshot(payload.profile_id);
   if (snapshot.graph == nullptr) {
     response.status = NotFound("no profile '" + payload.profile_id + "'");
-    stats_.OnRequestDone(false, false, MillisSince(admitted_at), 0, 0, 0);
+    stats_.OnRequestDone(false, false, MillisSince(admitted_at), 0);
     conn->WriteLine(SerializeResponseBounded(std::move(response)));
     return;
   }
@@ -412,20 +410,6 @@ void Server::RunPersonalize(const std::shared_ptr<Connection>& conn,
   budget.cancel = &conn->cancel_token();
   engine_request.budget = budget;
 
-  // Cross-request memoization: one EvalCache per (profile, query, problem
-  // bounds) triple, keyed additionally by the profile snapshot's version
-  // so a hot-reload can never serve values computed under the replaced
-  // graph. The prune bounds participate because different cmax/smin yield
-  // different per-problem views of the prepared space — the cache indexes
-  // preferences by position in the view, so each view needs its own memo.
-  std::shared_ptr<estimation::EvalCache> cache =
-      profiles_->caches_for(payload.profile_id).GetOrCreate(
-          payload.profile_id,
-          std::to_string(snapshot.version) + ":" +
-              space::ProblemPruneKey(engine_request.problem) + ":" +
-              payload.sql);
-  engine_request.eval_cache = cache.get();
-
   // The shared plan cache (this profile's shard slice when the store is
   // sharded): a repeated query skips parsing-to-extraction entirely. The
   // snapshot version in the key makes stale plans unreachable the instant
@@ -441,7 +425,7 @@ void Server::RunPersonalize(const std::shared_ptr<Connection>& conn,
   double latency_ms = MillisSince(admitted_at);
   if (!result.ok()) {
     response.status = result.status();
-    stats_.OnRequestDone(false, false, latency_ms, 0, 0, 0);
+    stats_.OnRequestDone(false, false, latency_ms, 0);
     conn->WriteLine(SerializeResponseBounded(std::move(response)));
     return;
   }
@@ -458,8 +442,6 @@ void Server::RunPersonalize(const std::shared_ptr<Connection>& conn,
   out.size = r.solution.params.size;
   out.states_examined = r.metrics.states_examined;
   out.search_wall_ms = r.metrics.wall_ms;
-  out.eval_cache_hits = r.metrics.eval_cache_hits;
-  out.eval_cache_misses = r.metrics.eval_cache_misses;
   out.plan_cache_hit = r.plan_cache_hit;
   out.server_ms = latency_ms;
   out.attempts = r.attempts;
@@ -471,7 +453,6 @@ void Server::RunPersonalize(const std::shared_ptr<Connection>& conn,
                    r.personalized.rewrite.branches_subsumed,
                    r.space != nullptr ? r.space->constraint_pruned : 0);
   stats_.OnRequestDone(/*ok=*/true, r.degraded(), latency_ms,
-                       r.metrics.eval_cache_hits, r.metrics.eval_cache_misses,
                        r.metrics.states_examined);
   conn->WriteLine(SerializeResponseBounded(std::move(response)));
 }

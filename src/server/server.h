@@ -89,7 +89,7 @@ struct ServerOptions {
 class Server {
  public:
   /// `db` must be Analyze()d and outlive the server; `profiles` supplies
-  /// per-request graphs and evaluation caches and must outlive the server.
+  /// per-request graphs and plan caches and must outlive the server.
   Server(const storage::Database* db, ProfileStore* profiles,
          ServerOptions options = ServerOptions());
   ~Server();  ///< calls Stop()

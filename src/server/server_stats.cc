@@ -95,16 +95,13 @@ void ServerStats::OnDegradedAdmission() {
 }
 
 void ServerStats::OnRequestDone(bool ok, bool degraded_answer,
-                                double latency_ms, uint64_t cache_hits,
-                                uint64_t cache_misses,
+                                double latency_ms,
                                 uint64_t states_examined) {
   requests_total_.fetch_add(1, std::memory_order_relaxed);
   if (!ok) errors_total_.fetch_add(1, std::memory_order_relaxed);
   if (degraded_answer) {
     degraded_answers_total_.fetch_add(1, std::memory_order_relaxed);
   }
-  cache_hits_total_.fetch_add(cache_hits, std::memory_order_relaxed);
-  cache_misses_total_.fetch_add(cache_misses, std::memory_order_relaxed);
   states_total_.fetch_add(states_examined, std::memory_order_relaxed);
   latency_.Record(latency_ms);
 }
@@ -152,9 +149,6 @@ JsonValue ServerStats::ToJson() const {
   obj.Set("errors", n(errors_total_.load(std::memory_order_relaxed)));
   obj.Set("degraded_answers",
           n(degraded_answers_total_.load(std::memory_order_relaxed)));
-  obj.Set("cache_hits", n(cache_hits_total_.load(std::memory_order_relaxed)));
-  obj.Set("cache_misses",
-          n(cache_misses_total_.load(std::memory_order_relaxed)));
   obj.Set("plan_cache_hits",
           n(plan_hits_total_.load(std::memory_order_relaxed)));
   obj.Set("plan_cache_misses",

@@ -72,7 +72,6 @@ class ServerStats {
 
   /// One finished personalize request.
   void OnRequestDone(bool ok, bool degraded_answer, double latency_ms,
-                     uint64_t cache_hits, uint64_t cache_misses,
                      uint64_t states_examined);
 
   /// One plan-cache lookup outcome (a request whose Prepare() was served
@@ -126,8 +125,6 @@ class ServerStats {
   std::atomic<uint64_t> requests_total_{0};
   std::atomic<uint64_t> errors_total_{0};
   std::atomic<uint64_t> degraded_answers_total_{0};
-  std::atomic<uint64_t> cache_hits_total_{0};
-  std::atomic<uint64_t> cache_misses_total_{0};
   std::atomic<uint64_t> plan_hits_total_{0};
   std::atomic<uint64_t> plan_misses_total_{0};
   std::atomic<uint64_t> states_total_{0};

@@ -249,7 +249,6 @@ Status ProfileShard::Put(const std::string& id, const prefs::Profile& profile) {
     compact_now = journal_bytes_ > options_.compact_threshold_bytes;
   }
   cv_.notify_all();
-  caches_.InvalidateProfile(id);
   plans_.InvalidateProfile(id);
   if (compact_now) {
     Status compacted = Compact();
@@ -294,7 +293,6 @@ Status ProfileShard::Remove(const std::string& id) {
   }
   // Waiters parked on a page-in of this id wake and re-find: miss.
   cv_.notify_all();
-  caches_.InvalidateProfile(id);
   plans_.InvalidateProfile(id);
   return Status::OK();
 }

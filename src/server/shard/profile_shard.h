@@ -12,7 +12,6 @@
 
 #include "common/status.h"
 #include "construct/plan_cache.h"
-#include "estimation/eval_cache.h"
 #include "prefs/graph.h"
 #include "prefs/profile.h"
 #include "server/profile_store.h"
@@ -59,11 +58,11 @@ struct ShardOptions {
 /// skips any graph a request still holds, so paging can never yank a
 /// profile mid-Personalize.
 ///
-/// Each shard also owns its slice of the cache invalidation domain: an
-/// EvalCacheRegistry and a PlanCache that only ever see this shard's ids.
-/// Cross-shard cache interference is structurally impossible, and the
-/// version keys those caches embed stay monotonic per shard because the
-/// version counter persists in the shard's own snapshot/journal.
+/// Each shard also owns its slice of the cache invalidation domain: a
+/// PlanCache that only ever sees this shard's ids. Cross-shard cache
+/// interference is structurally impossible, and the version keys the cache
+/// embeds stay monotonic per shard because the version counter persists in
+/// the shard's own snapshot/journal.
 ///
 /// Durability: fsync is inline per mutation (strongest PR 6 semantics —
 /// an error means NOT applied). A sharded tier gets its write concurrency
@@ -128,7 +127,6 @@ class ProfileShard {
   const RecoveryInfo& recovery() const { return recovery_; }
 
   /// This shard's slice of the cache invalidation domain.
-  estimation::EvalCacheRegistry& caches() { return caches_; }
   construct::PlanCache& plans() { return plans_; }
 
  private:
@@ -214,7 +212,6 @@ class ProfileShard {
   uint64_t journal_bytes_ = 0;
   uint64_t snapshot_bytes_ = 0;
 
-  estimation::EvalCacheRegistry caches_;
   construct::PlanCache plans_;
 };
 

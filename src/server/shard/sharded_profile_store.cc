@@ -154,11 +154,6 @@ size_t ShardedProfileStore::size() const {
   return total;
 }
 
-estimation::EvalCacheRegistry& ShardedProfileStore::caches_for(
-    const std::string& id) {
-  return ShardFor(id).caches();
-}
-
 construct::PlanCache& ShardedProfileStore::plans_for(const std::string& id) {
   return ShardFor(id).plans();
 }

@@ -39,8 +39,8 @@ struct ShardedStoreOptions {
 /// This class is a thin router — all durability, paging and invalidation
 /// live in ProfileShard. It plugs into everything that takes a
 /// ProfileStore (Server, shell, tools) via the virtual read/write surface;
-/// request paths MUST use caches_for()/plans_for() so cache traffic stays
-/// on the owning shard.
+/// request paths MUST use plans_for() so cache traffic stays on the owning
+/// shard.
 ///
 /// Migration from a single-directory PR 6 store: open with num_shards=1 —
 /// shard-000 uses the same journal/snapshot formats, so
@@ -71,7 +71,6 @@ class ShardedProfileStore : public ProfileStore {
   std::vector<std::string> Ids() const override;  ///< merged, sorted
   size_t size() const override;
 
-  estimation::EvalCacheRegistry& caches_for(const std::string& id) override;
   construct::PlanCache& plans_for(const std::string& id) override;
   construct::PlanCacheStats plan_stats() const override;  ///< summed
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/failpoint.h"
-#include "estimation/eval_cache.h"
 #include "common/str_util.h"
 #include "construct/personalizer.h"
 #include "exec/executor.h"
@@ -510,7 +509,7 @@ Status CqpShell::RebuildGraph() {
   graph_ = std::make_unique<prefs::PersonalizationGraph>(std::move(graph));
   if (profile_store_ != nullptr) {
     // The embedded server serves this profile as "default": keep its store
-    // (and through it the eval caches) in step with .profile edits.
+    // (and through it the plan cache) in step with .profile edits.
     CQP_RETURN_IF_ERROR(profile_store_->Put("default", profile_));
   }
   return Status::OK();
@@ -666,16 +665,12 @@ Status CqpShell::HandleBatch(const std::string& args, std::ostream& out) {
   }
 
   construct::Personalizer personalizer(db_.get(), graph_.get());
-  // Every copy personalizes the same query under the same profile, so one
-  // shared memo is valid for the whole batch.
-  estimation::EvalCache cache;
   construct::PersonalizeRequest request;
   request.sql = rest;
   request.problem = problem_;
   request.algorithm = algorithm_;
   request.budget = MakeBudget();
   request.space_options = space_options_;
-  request.eval_cache = &cache;
   request.plan_cache = &plan_cache_;
   request.profile_id = "shell";
   request.profile_version = profile_version_;
@@ -704,15 +699,6 @@ Status CqpShell::HandleBatch(const std::string& args, std::ostream& out) {
                    batch.ok_count(), batch.degraded);
   out << StrFormat("wall %.1f ms (%.1f q/s), latency p50=%.2f ms p99=%.2f ms\n",
                    batch.wall_ms, qps, percentile(0.50), percentile(0.99));
-  uint64_t lookups = batch.eval_cache_hits + batch.eval_cache_misses;
-  out << StrFormat(
-      "eval cache: %llu hits / %llu lookups (%.0f%% hit rate), %zu entries\n",
-      static_cast<unsigned long long>(batch.eval_cache_hits),
-      static_cast<unsigned long long>(lookups),
-      lookups == 0 ? 0.0
-                   : 100.0 * static_cast<double>(batch.eval_cache_hits) /
-                         static_cast<double>(lookups),
-      cache.size());
   out << StrFormat("plan cache: %llu of %lld prepares served from cache\n",
                    static_cast<unsigned long long>(batch.plan_cache_hits),
                    static_cast<long long>(n));

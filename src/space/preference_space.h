@@ -56,20 +56,14 @@ struct PreferenceSpaceResult {
   prefs::ConjunctionModel conjunction_model =
       prefs::ConjunctionModel::kNoisyOr;
 
-  /// Builds a StateEvaluator over this preference space. `cache`, when
-  /// given, memoizes full evaluations; it must hold entries for this
-  /// (query, profile, prune-bounds) triple only and must outlive the
-  /// evaluator. The evaluator borrows `prefs` — it is only callable on an
-  /// lvalue space that outlives it (calling on a temporary is a compile
-  /// error; the deep copy that used to make that silent is gone).
-  estimation::StateEvaluator MakeEvaluator(
-      estimation::EvalCache* cache = nullptr) const& {
-    estimation::StateEvaluator evaluator(base, prefs, conjunction_model);
-    evaluator.set_cache(cache);
-    return evaluator;
+  /// Builds a StateEvaluator over this preference space. The evaluator
+  /// borrows `prefs` — it is only callable on an lvalue space that outlives
+  /// it (calling on a temporary is a compile error; the deep copy that used
+  /// to make that silent is gone).
+  estimation::StateEvaluator MakeEvaluator() const& {
+    return estimation::StateEvaluator(base, prefs, conjunction_model);
   }
-  estimation::StateEvaluator MakeEvaluator(
-      estimation::EvalCache* cache = nullptr) const&& = delete;
+  estimation::StateEvaluator MakeEvaluator() const&& = delete;
 
   /// Pointer vectors (0-based indices into `prefs`):
   /// D: doi descending (identity by construction, kept for symmetry),

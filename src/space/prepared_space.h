@@ -18,8 +18,8 @@ namespace cqp::space {
 /// Canonical key of the monotone prune bounds a ProblemSpec applies to a
 /// preference space: the exact bit patterns of cmax_ms and smin ("-" when
 /// absent). Two problems with equal keys admit exactly the same preferences
-/// from any extracted space, so per-problem views — and the EvalCaches built
-/// over them — may be shared across such problems.
+/// from any extracted space, so per-problem views may be shared across such
+/// problems.
 std::string ProblemPruneKey(const cqp::ProblemSpec& problem);
 
 /// The immutable, shareable artifact of the query-dependent half of the

@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "common/str_util.h"
 
@@ -74,12 +75,19 @@ StatusOr<std::vector<Token>> Lex(const std::string& input) {
         ++j;
       }
       std::string num = input.substr(i, j - i);
+      const char* end = num.data() + num.size();
+      std::from_chars_result parsed;
       if (is_double) {
         tok.kind = TokenKind::kDouble;
-        tok.double_value = std::stod(num);
+        parsed = std::from_chars(num.data(), end, tok.double_value);
       } else {
         tok.kind = TokenKind::kInt;
-        tok.int_value = std::stoll(num);
+        parsed = std::from_chars(num.data(), end, tok.int_value);
+      }
+      if (parsed.ec != std::errc() || parsed.ptr != end) {
+        return InvalidArgument(StrFormat(
+            "numeric literal %s at offset %zu is out of range",
+            num.c_str(), i));
       }
       tok.text = num;
       i = j;

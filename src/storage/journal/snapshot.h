@@ -42,8 +42,8 @@ struct SnapshotData {
   /// The store's next mutation version at snapshot time. Journal records
   /// with version < next_version are already reflected in the entries —
   /// replay skips them. Persisting this also keeps version numbering
-  /// monotonic across restarts, which is what snapshot-version-keyed
-  /// caches (EvalCacheRegistry, PlanCache) assume.
+  /// monotonic across restarts, which is what the snapshot-version-keyed
+  /// PlanCache assumes.
   uint64_t next_version = 1;
   std::vector<SnapshotEntry> entries;
 };

@@ -9,7 +9,6 @@
 #include "common/str_util.h"
 #include "cqp/transitions.h"
 #include "estimation/batch_evaluator.h"
-#include "estimation/eval_cache.h"
 #include "space/prepared_space.h"
 
 namespace cqp::testing {
@@ -648,31 +647,9 @@ CheckReport CheckInstance(const CqpInstance& instance,
       }
     }
 
-    // (d) EvalCache parity: memoized solves — cold cache, then warm cache —
-    // must be field-for-field identical to the uncached solve.
-    if (options.check_cache_parity && instance.K() < 64) {
-      estimation::EvalCache cache;
-      for (const char* phase : {"cold", "warm"}) {
-        cqp::SearchContext ctx;
-        ctx.eval_cache = &cache;
-        auto cached = algo->Solve(instance.space, instance.problem, ctx);
-        ++report.solves;
-        if (!cached.ok()) {
-          report.Add("cache-parity", name,
-                     std::string(phase) + " solve failed: " +
-                         std::string(cached.status().message()));
-          break;
-        }
-        std::string diff = DiffSolutions(sol, *cached);
-        if (!diff.empty()) {
-          report.Add("cache-parity", name, std::string(phase) + ": " + diff);
-        }
-      }
-    }
-
     // (g) Batch-evaluation parity, solution level: `sol` above ran with the
-    // SoA batch path enabled (the default cacheless context turns it
-    // on), so a forced-scalar re-solve must reproduce it. Field-for-field
+    // SoA batch path enabled (the default context turns it on), so a
+    // forced-scalar re-solve must reproduce it. Field-for-field
     // for every algorithm except MinCost-BB, whose batched tails evaluate
     // states its scalar recursion prunes and may therefore record a
     // different equal-cost incumbent; there feasibility (with the usual
@@ -762,8 +739,9 @@ CheckReport CheckInstance(const CqpInstance& instance,
   // PreparedSpace must keep exactly the prefs the monotone bounds allow
   // (a pref with cost > cmax or size < smin can appear in no feasible
   // state, so dropping it is answer-preserving), and Exhaustive on the
-  // view — cold and with a warm EvalCache — must reproduce the full-space
-  // oracle once the view's indices are mapped back.
+  // view — batched (the default context) and forced-scalar — must
+  // reproduce the full-space oracle once the view's indices are mapped
+  // back.
   if (options.check_prepared) {
     std::shared_ptr<const space::PreparedSpace> prepared =
         space::PreparedSpace::Create(instance.space);
@@ -797,10 +775,10 @@ CheckReport CheckInstance(const CqpInstance& instance,
       if (fields_ok && have_oracle && view->K() <= options.max_oracle_k) {
         auto algo = cqp::GetAlgorithm("Exhaustive");
         if (algo.ok()) {
-          estimation::EvalCache cache;
-          for (const char* phase : {"cold", "warm"}) {
+          for (bool batched : {true, false}) {
+            const char* phase = batched ? "batched" : "scalar";
             cqp::SearchContext ctx;
-            ctx.eval_cache = &cache;
+            ctx.allow_batch_eval = batched;
             auto solved = (*algo)->Solve(*view, instance.problem, ctx);
             ++report.solves;
             if (!solved.ok()) {

@@ -14,7 +14,7 @@ namespace cqp::testing {
 /// name (the shrinker minimizes against it, so a shrink step that merely
 /// trades one violation kind for another is rejected).
 struct Violation {
-  std::string check;      ///< e.g. "oracle", "feasibility", "cache-parity"
+  std::string check;      ///< e.g. "oracle", "feasibility", "batch-parity"
   std::string algorithm;  ///< empty for evaluator/transition invariants
   std::string detail;     ///< human-readable specifics
   std::string ToString() const;
@@ -38,7 +38,6 @@ struct CheckOptions {
   bool check_oracle = true;       ///< (a) exact == Exhaustive, bit-for-bit
   bool check_feasibility = true;  ///< (b) re-evaluate + bounds check
   bool check_invariants = true;   ///< (c) Formulas 6/8/10 + transition signs
-  bool check_cache_parity = true; ///< (d) EvalCache on/off, cold and warm
   bool check_budget = true;       ///< (e) tight budgets stay feasible+tagged
   bool check_determinism = true;  ///< same Solve() twice, field-for-field
   bool check_prepared = true;     ///< (f) PreparedSpace per-problem view

@@ -9,7 +9,6 @@
 #include "common/failpoint.h"
 #include "common/str_util.h"
 #include "construct/personalizer.h"
-#include "estimation/eval_cache.h"
 #include "exec/executor.h"
 #include "prefs/graph.h"
 #include "server/client.h"
@@ -160,30 +159,7 @@ PipelineCheckResult RunPipelineCheck(const PipelineCheckConfig& config) {
     }
   }
 
-  // Path 3: a shared EvalCache, cold then warm, must not change answers.
-  if (config.check_shared_cache) {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      estimation::EvalCache cache;
-      construct::PersonalizeRequest request = requests[i];
-      request.eval_cache = &cache;
-      for (const char* phase : {"cold", "warm"}) {
-        auto r = personalizer.Personalize(request);
-        if (!r.ok()) {
-          report.Add("cache-path-parity", request_labels[i],
-                     std::string(phase) + ": " +
-                         std::string(r.status().message()));
-          break;
-        }
-        std::string diff = DiffResults(reference[i], *r);
-        if (!diff.empty()) {
-          report.Add("cache-path-parity", request_labels[i],
-                     std::string(phase) + ": " + diff);
-        }
-      }
-    }
-  }
-
-  // Path 4: the split pipeline. Explicit Prepare()+Solve() — cold, then
+  // Path 3: the split pipeline. Explicit Prepare()+Solve() — cold, then
   // with the PreparedSpace served from a plan cache, then Personalize()
   // with the same cache — must all be field-for-field identical to the
   // direct Personalize() reference. This is the prepared-vs-direct parity
@@ -242,7 +218,7 @@ PipelineCheckResult RunPipelineCheck(const PipelineCheckConfig& config) {
     }
   }
 
-  // Path 5: loopback server round trip. The wire response must reproduce
+  // Path 4: loopback server round trip. The wire response must reproduce
   // the direct result field for field, for every user and problem kind.
   if (config.check_server) {
     server::ProfileStore store(&*db);
@@ -322,7 +298,7 @@ PipelineCheckResult RunPipelineCheck(const PipelineCheckConfig& config) {
     server.Stop();
   }
 
-  // Path 6: injected faults + tight expansion budgets. Every request must
+  // Path 5: injected faults + tight expansion budgets. Every request must
   // still answer OK (the ladder's last rung always can); claimed-feasible
   // answers must verify against their bounds; non-Primary answers must be
   // tagged degraded.
@@ -369,7 +345,7 @@ PipelineCheckResult RunPipelineCheck(const PipelineCheckConfig& config) {
     failpoint::Reset();
   }
 
-  // Path 7: the SoA batch evaluation core. The reference results above
+  // Path 6: the SoA batch evaluation core. The reference results above
   // were produced with batch evaluation enabled (the default); re-solving
   // with `disable_batch_eval` forces every algorithm onto the scalar
   // StateEvaluator. Doi-maximization answers must agree field for field
@@ -413,7 +389,7 @@ PipelineCheckResult RunPipelineCheck(const PipelineCheckConfig& config) {
     }
   }
 
-  // Path 8: the semantic rewrite layer (docs/rewriting.md). Re-emitting the
+  // Path 7: the semantic rewrite layer (docs/rewriting.md). Re-emitting the
   // reference answer's OWN chosen solution with the optimizer off must
   // execute to the identical personalized result set — the fixed solution
   // isolates the emission-level passes from the (legitimately answer-

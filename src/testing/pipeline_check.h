@@ -16,7 +16,6 @@ struct PipelineCheckConfig {
   /// exact solvers on every query).
   size_t max_k = 10;
   bool check_batch = true;       ///< serial vs PersonalizeBatch
-  bool check_shared_cache = true;///< private vs shared warm EvalCache
   bool check_server = true;      ///< direct vs loopback server round trip
   bool check_failpoints = true;  ///< injected faults + tight budgets degrade
   bool check_prepared = true;    ///< Prepare()+Solve(), cold and plan-cached,
@@ -34,12 +33,11 @@ struct PipelineCheckResult {
   size_t requests = 0;    ///< personalization requests compared
 };
 
-/// Tentpole check (d)+(e) at the whole-pipeline level: builds a synthetic
+/// Parity checking at the whole-pipeline level: builds a synthetic
 /// movie database, generated profiles and an SPJ query workload, then
 /// requires field-for-field agreement between
 ///   * sequential Personalize() calls (the reference),
 ///   * PersonalizeBatch() over the same requests,
-///   * Personalize() with a shared, pre-warmed EvalCache,
 ///   * explicit Prepare()+Solve(), cold and with a warm plan cache,
 ///   * a loopback server round trip (JSON wire protocol),
 ///   * Personalize() with the SoA batch evaluation path disabled

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "cqp/algorithms.h"
-#include "estimation/eval_cache.h"
 #include "test_util.h"
 #include "workload/experiment.h"
 
@@ -564,58 +563,6 @@ TEST(BudgetTest, SingleExpansionBudgetDegradesSearchAlgorithms) {
     EXPECT_TRUE(sol->degraded) << name;
     CheckSolutionConsistent(space, problem, *sol, name);
   }
-}
-
-// ---------- eval cache parity ----------
-
-TEST(EvalCacheParityTest, CachedSolutionsAreBitForBitIdentical) {
-  // Running with a memoized evaluator must never change the answer: the
-  // cache stores canonically-ordered full evaluations, so doi/cost/size
-  // must match the uncached run exactly (==, not NEAR), cold AND warm.
-  for (const char* name : {"C-Boundaries", "D-MaxDoi", "Exhaustive"}) {
-    Rng rng(97);
-    auto space = MakeRandomSpace(rng, 9);
-    double supreme = space.MakeEvaluator().SupremeState().cost_ms;
-    ProblemSpec problem = ProblemSpec::Problem2(0.6 * supreme);
-    const Algorithm* algorithm = *GetAlgorithm(name);
-
-    SearchContext plain_ctx;
-    Solution plain = *algorithm->Solve(space, problem, plain_ctx);
-
-    estimation::EvalCache cache;
-    SearchContext cold_ctx;
-    cold_ctx.eval_cache = &cache;
-    Solution cold = *algorithm->Solve(space, problem, cold_ctx);
-
-    SearchContext warm_ctx;
-    warm_ctx.eval_cache = &cache;  // same (query, profile): reuse is legal
-    Solution warm = *algorithm->Solve(space, problem, warm_ctx);
-
-    for (const Solution* got : {&cold, &warm}) {
-      EXPECT_EQ(got->feasible, plain.feasible) << name;
-      EXPECT_EQ(got->chosen, plain.chosen) << name;
-      EXPECT_EQ(got->params.doi, plain.params.doi) << name;
-      EXPECT_EQ(got->params.cost_ms, plain.params.cost_ms) << name;
-      EXPECT_EQ(got->params.size, plain.params.size) << name;
-    }
-    uint64_t cold_lookups = cold_ctx.metrics.eval_cache_hits +
-                            cold_ctx.metrics.eval_cache_misses;
-    EXPECT_GT(cold_lookups, 0u) << name;
-    EXPECT_GT(warm_ctx.metrics.eval_cache_hits, 0u) << name;
-    EXPECT_GT(cache.size(), 0u) << name;
-  }
-}
-
-TEST(EvalCacheParityTest, UncachedRunsReportNoCacheTraffic) {
-  Rng rng(98);
-  auto space = MakeRandomSpace(rng, 8);
-  double supreme = space.MakeEvaluator().SupremeState().cost_ms;
-  SearchContext ctx;
-  auto sol = (*GetAlgorithm("C-Boundaries"))
-                 ->Solve(space, ProblemSpec::Problem2(0.5 * supreme), ctx);
-  ASSERT_TRUE(sol.ok());
-  EXPECT_EQ(ctx.metrics.eval_cache_hits, 0u);
-  EXPECT_EQ(ctx.metrics.eval_cache_misses, 0u);
 }
 
 TEST(BudgetTest, CancelTokenAbortsBeforeAnyExpansion) {

@@ -6,11 +6,11 @@
 #include "common/budget.h"
 #include "common/failpoint.h"
 #include "construct/personalizer.h"
-#include "estimation/eval_cache.h"
 #include "construct/query_builder.h"
 #include "exec/executor.h"
 #include "sql/parser.h"
 #include "test_util.h"
+#include "testing/oracle.h"
 #include "workload/movie_gen.h"
 #include "workload/profile_gen.h"
 
@@ -406,7 +406,7 @@ TEST_F(PersonalizerTest, BatchMatchesSequentialBitForBit) {
   }
 }
 
-TEST_F(PersonalizerTest, BatchSharedCacheReportsHitsWithoutChangingAnswers) {
+TEST_F(PersonalizerTest, BatchOfOneRepeatedRequestMatchesSequential) {
   Personalizer personalizer(&db_, graph_.get());
   auto sequential_want = [&] {
     PersonalizeRequest request;
@@ -416,21 +416,16 @@ TEST_F(PersonalizerTest, BatchSharedCacheReportsHitsWithoutChangingAnswers) {
     return *personalizer.Personalize(request);
   }();
 
-  // All requests share one (query, profile), so sharing one memo is legal.
-  estimation::EvalCache cache;
   std::vector<PersonalizeRequest> requests(6);
   for (auto& request : requests) {
     request.sql = "SELECT title FROM MOVIE";
     request.problem = cqp::ProblemSpec::Problem2(1e9);
     request.algorithm = "C-Boundaries";
-    request.eval_cache = &cache;
   }
   BatchOptions options;
   options.num_threads = 3;
   BatchResult batch = personalizer.PersonalizeBatch(requests, options);
   EXPECT_EQ(batch.ok_count(), requests.size());
-  EXPECT_GT(batch.eval_cache_hits + batch.eval_cache_misses, 0u);
-  EXPECT_GT(batch.eval_cache_hits, 0u);  // repeats must hit the shared memo
   for (const auto& result : batch.results) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->solution.chosen, sequential_want.solution.chosen);
@@ -438,6 +433,44 @@ TEST_F(PersonalizerTest, BatchSharedCacheReportsHitsWithoutChangingAnswers) {
     EXPECT_EQ(result->solution.params.cost_ms,
               sequential_want.solution.params.cost_ms);
   }
+}
+
+TEST(PersonalizeExhaustiveTest, TakesTheBatchedPathAndMatchesScalarSolve) {
+  // Personalize() must reach Exhaustive's batched enumeration (2^L-wide
+  // leaf frontiers), and that answer must equal a direct forced-scalar
+  // Solve() on the same per-problem view, field for field.
+  workload::MovieDbConfig db_config;
+  db_config.n_movies = 300;
+  auto db = *workload::BuildMovieDatabase(db_config);
+  workload::ProfileGenConfig profile_config;
+  auto profile = *workload::GenerateProfile(profile_config, db_config);
+  auto graph = *prefs::PersonalizationGraph::Build(std::move(profile), db);
+  Personalizer personalizer(&db, &graph);
+
+  PersonalizeRequest request;
+  request.sql = "SELECT title FROM MOVIE";
+  request.algorithm = "Exhaustive";
+  request.space_options.max_k = 10;
+  request.problem = cqp::ProblemSpec::Problem2(1e9);
+  auto loose = personalizer.Personalize(request);
+  ASSERT_TRUE(loose.ok()) << loose.status().ToString();
+  // A bound that binds: half the cost of integrating every preference.
+  request.problem = cqp::ProblemSpec::Problem2(
+      0.5 * loose->space->MakeEvaluator().SupremeState().cost_ms);
+
+  auto result = personalizer.Personalize(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(result->space->K(), 7u);
+  EXPECT_EQ(result->rung, FallbackRung::kPrimary);
+  EXPECT_GT(result->metrics.frontiers_evaluated, 0u);
+
+  cqp::SearchContext scalar_ctx;
+  scalar_ctx.allow_batch_eval = false;
+  auto scalar = (*cqp::GetAlgorithm("Exhaustive"))
+                    ->Solve(*result->space, request.problem, scalar_ctx);
+  ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+  EXPECT_EQ(scalar_ctx.metrics.frontiers_evaluated, 0u);
+  EXPECT_EQ(::cqp::testing::DiffSolutions(result->solution, *scalar), "");
 }
 
 TEST_F(PersonalizerTest, PreCancelledBatchAnswersEveryRequestViaLadder) {

@@ -340,6 +340,15 @@ TEST_F(EpollServerTest, IdleHalfOpenConnectionsDoNotConsumeWorkers) {
     EXPECT_TRUE(response->ok()) << response->status.ToString();
   }
   EXPECT_EQ(server_->stats().errors_total(), 0u);
+  // Accepts are spread over both SO_REUSEPORT loops: the loop that took the
+  // client may answer it before the other has accepted its share of the
+  // swarm, so wait (bounded) for the counter instead of reading it once.
+  Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
+  while (server_->stats().connections_opened() <
+             static_cast<uint64_t>(kIdle + 1) &&
+         Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GE(server_->stats().connections_opened(),
             static_cast<uint64_t>(kIdle + 1));
 }

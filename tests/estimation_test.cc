@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "estimation/estimate.h"
-#include "estimation/eval_cache.h"
 #include "estimation/evaluator.h"
 #include "sql/parser.h"
 #include "test_util.h"
@@ -219,54 +218,6 @@ TEST_F(EvaluatorTest, SumCappedModelApplies) {
               1e-12);
 }
 
-// ---------- EvalCache ----------
-
-TEST(EvalCacheTest, FindMissThenInsertThenHit) {
-  EvalCache cache;
-  StateParams params;
-  EXPECT_FALSE(cache.Find(0b101, &params));
-  StateParams stored;
-  stored.doi = 0.5;
-  stored.cost_ms = 12.0;
-  stored.size = 30.0;
-  stored.count = 2;
-  cache.Insert(0b101, stored);
-  ASSERT_TRUE(cache.Find(0b101, &params));
-  EXPECT_DOUBLE_EQ(params.doi, 0.5);
-  EXPECT_DOUBLE_EQ(params.cost_ms, 12.0);
-  EXPECT_DOUBLE_EQ(params.size, 30.0);
-  EXPECT_EQ(params.count, 2u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(EvalCacheTest, ClearEmptiesTheCache) {
-  EvalCache cache;
-  cache.Insert(1, StateParams{});
-  cache.Insert(2, StateParams{});
-  EXPECT_EQ(cache.size(), 2u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  StateParams params;
-  EXPECT_FALSE(cache.Find(1, &params));
-}
-
-TEST(EvalCacheTest, InsertIsBoundedButUpdatesExistingKeys) {
-  EvalCache cache(/*max_entries=*/2);
-  EXPECT_EQ(cache.max_entries(), 2u);
-  cache.Insert(1, StateParams{});
-  cache.Insert(2, StateParams{});
-  cache.Insert(3, StateParams{});  // at capacity: dropped
-  EXPECT_EQ(cache.size(), 2u);
-  StateParams params;
-  EXPECT_FALSE(cache.Find(3, &params));
-  // Overwriting a resident key is still allowed at capacity.
-  StateParams updated;
-  updated.doi = 0.9;
-  cache.Insert(2, updated);
-  ASSERT_TRUE(cache.Find(2, &params));
-  EXPECT_DOUBLE_EQ(params.doi, 0.9);
-}
-
 TEST_F(EvaluatorTest, EvaluateBitsMatchesEvaluate) {
   StateEvaluator eval = space_.MakeEvaluator();
   Rng rng(7);
@@ -283,111 +234,6 @@ TEST_F(EvaluatorTest, EvaluateBitsMatchesEvaluate) {
     EXPECT_EQ(via_bits.size, via_set.size);
     EXPECT_EQ(via_bits.count, via_set.count);
   }
-}
-
-TEST_F(EvaluatorTest, CachedEvaluateIsBitForBitIdentical) {
-  StateEvaluator plain = space_.MakeEvaluator();
-  EvalCache cache;
-  StateEvaluator cached = space_.MakeEvaluator(&cache);
-  ASSERT_EQ(cached.cache(), &cache);
-  // Two passes over the same states: the second is served from the cache
-  // and must reproduce the uncached params exactly (==, not NEAR).
-  for (int pass = 0; pass < 2; ++pass) {
-    Rng rng(11);
-    for (int round = 0; round < 64; ++round) {
-      uint64_t bits = rng.Next() & 0xffull;
-      std::vector<int32_t> members;
-      for (int32_t i = 0; i < 8; ++i) {
-        if ((bits >> i) & 1) members.push_back(i);
-      }
-      IndexSet state = IndexSet::FromUnsorted(members);
-      StateParams want = plain.Evaluate(state);
-      StateParams got = cached.Evaluate(state);
-      EXPECT_EQ(got.doi, want.doi);
-      EXPECT_EQ(got.cost_ms, want.cost_ms);
-      EXPECT_EQ(got.size, want.size);
-      EXPECT_EQ(got.count, want.count);
-    }
-  }
-  EXPECT_GT(cache.size(), 0u);
-}
-
-TEST_F(EvaluatorTest, EvaluateBitsCachedReportsHitsAndMisses) {
-  EvalCache cache;
-  StateEvaluator eval = space_.MakeEvaluator(&cache);
-  bool hit = true;
-  StateParams first = eval.EvaluateBitsCached(0b1010, &hit);
-  EXPECT_FALSE(hit);
-  StateParams second = eval.EvaluateBitsCached(0b1010, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(first.doi, second.doi);
-  EXPECT_EQ(first.cost_ms, second.cost_ms);
-  EXPECT_EQ(first.size, second.size);
-}
-
-// ---------- EvalCacheRegistry ----------
-
-TEST(EvalCacheRegistryTest, GetOrCreateIsStablePerPair) {
-  EvalCacheRegistry registry;
-  auto a1 = registry.GetOrCreate("alice", "Q1");
-  auto a2 = registry.GetOrCreate("alice", "Q1");
-  EXPECT_EQ(a1.get(), a2.get());  // same pair, same cache
-  auto b = registry.GetOrCreate("alice", "Q2");
-  auto c = registry.GetOrCreate("bob", "Q1");
-  EXPECT_NE(a1.get(), b.get());  // different query
-  EXPECT_NE(a1.get(), c.get());  // different profile
-  EXPECT_EQ(registry.size(), 3u);
-  EXPECT_EQ(registry.ProfileIds(), (std::vector<std::string>{"alice", "bob"}));
-}
-
-TEST(EvalCacheRegistryTest, InvalidateProfileDropsOnlyThatProfile) {
-  EvalCacheRegistry registry;
-  StateParams params;
-  params.doi = 0.5;
-  registry.GetOrCreate("alice", "Q1")->Insert(0b01, params);
-  registry.GetOrCreate("alice", "Q2")->Insert(0b10, params);
-  registry.GetOrCreate("bob", "Q1")->Insert(0b01, params);
-
-  EXPECT_EQ(registry.InvalidateProfile("alice"), 2u);  // both query keys
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_EQ(registry.ProfileIds(), (std::vector<std::string>{"bob"}));
-  EXPECT_EQ(registry.InvalidateProfile("alice"), 0u);  // already gone
-
-  // Stale-hit absence: after invalidation, the pair's cache starts cold —
-  // a lookup of the previously memoized state misses.
-  StateParams out;
-  EXPECT_FALSE(registry.GetOrCreate("alice", "Q1")->Find(0b01, &out));
-  // The untouched profile still hits.
-  EXPECT_TRUE(registry.GetOrCreate("bob", "Q1")->Find(0b01, &out));
-  EXPECT_EQ(out.doi, 0.5);
-}
-
-TEST(EvalCacheRegistryTest, InFlightHoldersSurviveInvalidation) {
-  EvalCacheRegistry registry;
-  StateParams params;
-  params.doi = 0.25;
-  auto held = registry.GetOrCreate("alice", "Q1");
-  held->Insert(0b11, params);
-  registry.InvalidateProfile("alice");
-
-  // A request that grabbed the cache before the invalidation keeps its
-  // (internally consistent) memo until it finishes…
-  StateParams out;
-  EXPECT_TRUE(held->Find(0b11, &out));
-  EXPECT_EQ(out.doi, 0.25);
-  // …while new lookups get a fresh, unrelated cache.
-  auto fresh = registry.GetOrCreate("alice", "Q1");
-  EXPECT_NE(fresh.get(), held.get());
-  EXPECT_FALSE(fresh->Find(0b11, &out));
-}
-
-TEST(EvalCacheRegistryTest, ClearDropsEverything) {
-  EvalCacheRegistry registry;
-  registry.GetOrCreate("alice", "Q1");
-  registry.GetOrCreate("bob", "Q1");
-  registry.Clear();
-  EXPECT_EQ(registry.size(), 0u);
-  EXPECT_TRUE(registry.ProfileIds().empty());
 }
 
 }  // namespace

@@ -377,8 +377,8 @@ TEST_F(DurableStoreTest, VersionsStayMonotonicAcrossReopen) {
     EXPECT_EQ(last, 3u);
   }
   // Across restarts — including after compaction — a new Put must always
-  // version above everything that ever existed, or version-keyed caches
-  // (EvalCacheRegistry, PlanCache) could alias pre-restart entries.
+  // version above everything that ever existed, or the version-keyed
+  // PlanCache could alias pre-restart entries.
   for (int round = 0; round < 3; ++round) {
     auto store = server::DurableProfileStore::Open(db_, options);
     ASSERT_TRUE(store.ok());

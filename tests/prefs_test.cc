@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "prefs/doi.h"
 #include "prefs/graph.h"
@@ -203,6 +204,7 @@ TEST(ProfileTest, RoundTripKeepsDoiBitsExactly) {
                          0.123456789012345678,
                          std::nextafter(1.0, 0.0),
                          1e-300,
+                         std::numeric_limits<double>::denorm_min(),
                          0.5000005};
   Profile profile;
   int i = 0;

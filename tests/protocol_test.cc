@@ -212,8 +212,6 @@ TEST(Protocol, PersonalizeResponseRoundTripAllFields) {
   r.size = 42.0;
   r.states_examined = 991;
   r.search_wall_ms = 1.75;
-  r.eval_cache_hits = 10;
-  r.eval_cache_misses = 5;
   r.server_ms = 2.5;
   r.attempts = {"C-MaxBounds: ok"};
   response.personalize = r;
@@ -234,8 +232,6 @@ TEST(Protocol, PersonalizeResponseRoundTripAllFields) {
   EXPECT_DOUBLE_EQ(q.size, 42.0);
   EXPECT_EQ(q.states_examined, 991u);
   EXPECT_DOUBLE_EQ(q.search_wall_ms, 1.75);
-  EXPECT_EQ(q.eval_cache_hits, 10u);
-  EXPECT_EQ(q.eval_cache_misses, 5u);
   EXPECT_DOUBLE_EQ(q.server_ms, 2.5);
   EXPECT_EQ(q.attempts, r.attempts);
 }
@@ -266,6 +262,21 @@ TEST(Protocol, UnknownErrorCodeDegradesToInternal) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->status.code(), StatusCode::kInternal);
   EXPECT_EQ(parsed->status.message(), "hi");
+}
+
+TEST(Protocol, PersonalizeResponseIgnoresRetiredCacheCounters) {
+  // Older servers sent per-request evaluation-cache counters; a current
+  // client must still decode their frames.
+  auto parsed = ParseResponse(
+      R"({"v":1,"id":"old","ok":true,"result":{"final_sql":"SELECT 1",)"
+      R"("rung":"Primary","states":7,"cache_hits":3,"cache_misses":4,)"
+      R"("server_ms":1.5}})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed->personalize.has_value());
+  EXPECT_EQ(parsed->personalize->final_sql, "SELECT 1");
+  EXPECT_EQ(parsed->personalize->rung, "Primary");
+  EXPECT_EQ(parsed->personalize->states_examined, 7u);
+  EXPECT_DOUBLE_EQ(parsed->personalize->server_ms, 1.5);
 }
 
 TEST(Protocol, ExtraPayloadResponseRoundTrips) {

@@ -172,14 +172,15 @@ TEST_F(ServerTest, ResponsesAreBitIdenticalToDirectPersonalize) {
   EXPECT_EQ(server_->stats().requests_total(),
             static_cast<uint64_t>(kClients * kRequestsPerClient));
   EXPECT_EQ(server_->stats().errors_total(), 0u);
-  // All requests personalize the same (query, profile) pair, so the shared
-  // registry cache must have answered some evaluations after the first.
+  // All requests personalize the same (query, profile) pair, so each
+  // client's later requests must be served from the shared plan cache.
   WireRequest stats;
   stats.op = RequestOp::kStats;
   Client client = Connect();
   auto snapshot = client.Call(stats);
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_GT(snapshot->extra.Find("cache_hits")->number_value(), 0.0);
+  EXPECT_GT(snapshot->extra.Find("plan_cache_hits")->number_value(), 0.0);
+  EXPECT_EQ(snapshot->extra.Find("cache_hits"), nullptr);
 }
 
 TEST_F(ServerTest, ShardedTierServesIdenticalAnswersAndShardStats) {
@@ -295,6 +296,23 @@ TEST_F(ServerTest, UnknownProfileIsNotFound) {
   EXPECT_EQ(response->status.code(), StatusCode::kNotFound);
 }
 
+TEST_F(ServerTest, OutOfRangeLiteralIsAnErrorAndConnectionSurvives) {
+  StartServer();
+  Client client = Connect();
+  auto rejected = client.Call(PersonalizeRequestFor(
+      "SELECT title FROM MOVIE WHERE year = 99999999999999999999"));
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_FALSE(rejected->ok());
+  EXPECT_EQ(rejected->status.code(), StatusCode::kInvalidArgument);
+
+  // The same connection is then served normally.
+  auto served = client.Call(PersonalizeRequestFor(kQuery));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_TRUE(served->ok()) << served->status.ToString();
+  ASSERT_TRUE(served->personalize.has_value());
+  EXPECT_EQ(served->personalize->final_sql, DirectResult(kQuery).final_sql);
+}
+
 TEST_F(ServerTest, ZeroCapacityShedsEveryRequestExplicitly) {
   ServerOptions options;
   options.admission.max_pending = 0;  // deterministic: everything sheds
@@ -387,7 +405,7 @@ TEST_F(ServerTest, HotReloadServesUpdatedProfileWithoutStaleCacheHits) {
   EXPECT_DOUBLE_EQ(reloaded->extra.Find("reloaded")->number_value(), 1.0);
 
   // The same request must now see the new graph — and, critically, no
-  // evaluation memoized under the old one (the snapshot version keys the
+  // plan prepared under the old one (the snapshot version keys the plan
   // cache): the reference is a fresh direct computation on the new
   // profile, compared exactly.
   auto after = client.Call(request);
@@ -630,15 +648,13 @@ TEST(ServerStatsTest, CountersAggregate) {
   stats.OnAdmitted();
   stats.OnShed();
   stats.OnDegradedAdmission();
-  stats.OnRequestDone(/*ok=*/true, /*degraded_answer=*/false, 1.0, 5, 2, 100);
-  stats.OnRequestDone(/*ok=*/false, /*degraded_answer=*/true, 2.0, 0, 1, 50);
+  stats.OnRequestDone(/*ok=*/true, /*degraded_answer=*/false, 1.0, 100);
+  stats.OnRequestDone(/*ok=*/false, /*degraded_answer=*/true, 2.0, 50);
   EXPECT_EQ(stats.requests_total(), 2u);
   EXPECT_EQ(stats.errors_total(), 1u);
   EXPECT_EQ(stats.degraded_total(), 1u);
   EXPECT_EQ(stats.shed_total(), 1u);
   JsonValue json = stats.ToJson();
-  EXPECT_DOUBLE_EQ(json.Find("cache_hits")->number_value(), 5.0);
-  EXPECT_DOUBLE_EQ(json.Find("cache_misses")->number_value(), 3.0);
   EXPECT_DOUBLE_EQ(json.Find("states_examined")->number_value(), 150.0);
   EXPECT_DOUBLE_EQ(json.Find("latency")->Find("count")->number_value(), 2.0);
 }

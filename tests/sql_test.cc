@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <limits>
+#include <string>
+
 #include "sql/ast.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -28,6 +32,28 @@ TEST(LexerTest, NumbersIntAndDouble) {
   EXPECT_EQ(tokens[1].kind, TokenKind::kDouble);
   EXPECT_DOUBLE_EQ(tokens[1].double_value, 4.5);
   EXPECT_EQ(tokens[2].int_value, -3);
+}
+
+TEST(LexerTest, OutOfRangeNumbersAreErrorsNotExceptions) {
+  auto too_big = Lex("year = 99999999999999999999");
+  ASSERT_FALSE(too_big.ok());
+  EXPECT_EQ(too_big.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_big.status().message().find("99999999999999999999"),
+            std::string::npos);
+  EXPECT_NE(too_big.status().message().find("offset 7"), std::string::npos);
+  std::string huge_double = "1" + std::string(400, '0') + ".5";
+  EXPECT_EQ(Lex(huge_double).status().code(), StatusCode::kInvalidArgument);
+  // Both int64 extremes and a fixed-notation subnormal still lex exactly.
+  auto edges = *Lex("9223372036854775807 -9223372036854775808");
+  EXPECT_EQ(edges[0].int_value, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(edges[1].int_value, std::numeric_limits<int64_t>::min());
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  char buf[512];
+  auto printed = std::to_chars(buf, buf + sizeof buf, subnormal,
+                               std::chars_format::fixed);
+  auto tiny = Lex(std::string(buf, printed.ptr));
+  ASSERT_TRUE(tiny.ok()) << tiny.status().ToString();
+  EXPECT_EQ((*tiny)[0].double_value, subnormal);
 }
 
 TEST(LexerTest, StringWithEscapedQuote) {

@@ -139,7 +139,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->check = CheckOptions();
       args->check.check_oracle = false;
       args->check.check_invariants = false;
-      args->check.check_cache_parity = false;
       args->check.check_budget = false;
       args->check.check_determinism = false;
       args->check.check_prepared = false;
