@@ -88,20 +88,23 @@ def repo_root():
     return out.stdout.strip()
 
 
-def diff_file(path, ref, threshold):
-    with open(path) as f:
-        current = json.load(f)
-    baseline = load_ref(path, ref)
-    if baseline is None:
-        print(f"{path}: no baseline at {ref}, skipping")
-        return []
+def compare_records(name, current, baseline, threshold):
+    """Warnings for `current` vs `baseline`, and how many cells matched.
+
+    A file whose baseline has cells but whose cells match none of them
+    (identity keys were added, removed or renamed) warns too: otherwise it
+    would report no regression having compared nothing.
+    """
     base_cells = {cell_identity(c): c for c in baseline.get("cells", [])}
+    cells = current.get("cells", [])
     warnings = []
-    for cell in current.get("cells", []):
+    matched = 0
+    for cell in cells:
         ident = cell_identity(cell)
         base = base_cells.get(ident)
         if base is None:
             continue  # grid changed; nothing to compare against
+        matched += 1
         label = ", ".join(f"{k}={v}" for k, v in ident)
         for key, value in cell.items():
             if not isinstance(value, (int, float)) or key not in base:
@@ -117,8 +120,26 @@ def diff_file(path, ref, threshold):
                 continue
             if change > threshold:
                 warnings.append(
-                    f"{os.path.basename(path)} [{label}] {key}: "
+                    f"{name} [{label}] {key}: "
                     f"{old:g} -> {value:g} ({change:+.0%} worse)")
+    if cells and base_cells and matched == 0:
+        warnings.append(
+            f"{name}: none of {len(cells)} cells matches a baseline cell "
+            f"(identity keys changed?); nothing was compared")
+    return warnings, matched
+
+
+def diff_file(path, ref, threshold):
+    with open(path) as f:
+        current = json.load(f)
+    baseline = load_ref(path, ref)
+    if baseline is None:
+        print(f"{path}: no baseline at {ref}, skipping")
+        return []
+    warnings, matched = compare_records(
+        os.path.basename(path), current, baseline, threshold)
+    print(f"{path}: {matched} of {len(current.get('cells', []))} cells "
+          f"matched a baseline cell")
     return warnings
 
 

@@ -72,23 +72,35 @@ struct ResolvedPredicate {
   bool applied = false;
 };
 
-/// Computes a 64-bit key for hash-join build/probe.
+/// The value of `col` in an intermediate row (one stored tuple per joined
+/// FROM entry).
+const Value& At(const Tuple* const* row, const ResolvedColumn& col) {
+  return row[col.table_index]->at(static_cast<size_t>(col.column_index));
+}
+
+/// Computes a 64-bit key for hash-join build/probe; `Mix` folds one key
+/// value, so both sides hash the same values alike.
+size_t Mix(size_t h, const Value& v) {
+  return h ^ (v.Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+}
+
 size_t HashValues(const Tuple& row, const std::vector<int>& cols) {
   size_t h = 1469598103934665603ull;
-  for (int c : cols) {
-    h ^= row.at(static_cast<size_t>(c)).Hash() + 0x9e3779b97f4a7c15ull +
-         (h << 6) + (h >> 2);
-  }
+  for (int c : cols) h = Mix(h, row.at(static_cast<size_t>(c)));
   return h;
 }
 
-bool KeysEqual(const Tuple& a, const std::vector<int>& acols, const Tuple& b,
-               const std::vector<int>& bcols) {
+size_t HashValues(const Tuple* const* row,
+                  const std::vector<ResolvedColumn>& cols) {
+  size_t h = 1469598103934665603ull;
+  for (const ResolvedColumn& c : cols) h = Mix(h, At(row, c));
+  return h;
+}
+
+bool KeysEqual(const Tuple* const* a, const std::vector<ResolvedColumn>& acols,
+               const Tuple& b, const std::vector<int>& bcols) {
   for (size_t i = 0; i < acols.size(); ++i) {
-    if (a.at(static_cast<size_t>(acols[i])) !=
-        b.at(static_cast<size_t>(bcols[i]))) {
-      return false;
-    }
+    if (At(a, acols[i]) != b.at(static_cast<size_t>(bcols[i]))) return false;
   }
   return true;
 }
@@ -152,19 +164,10 @@ StatusOr<RowSet> Executor::Execute(const SelectQuery& query,
     preds.push_back(rp);
   }
 
-  // Incrementally build the join result, one FROM entry at a time.
-  // `offset_of[t]` is the first output column of table t once included.
-  std::vector<int> offset_of(tables.size(), -1);
-  RowSet current;
-
-  auto scan_into_rowset = [&](size_t t) -> RowSet {
+  // Scans select row references into the stored table; nothing is copied.
+  auto scan = [&](size_t t) {
     const Table& table = *tables[t].table;
     st->blocks_read += table.blocks();
-    RowSet out;
-    const std::string& alias = tables[t].ref->EffectiveAlias();
-    for (size_t c = 0; c < table.schema().arity(); ++c) {
-      out.AddColumnName(alias + "." + table.schema().attribute(c).name);
-    }
     // Single-table selections on t are applied during the scan.
     std::vector<const ResolvedPredicate*> local;
     for (ResolvedPredicate& rp : preds) {
@@ -180,6 +183,7 @@ StatusOr<RowSet> Executor::Execute(const SelectQuery& query,
         rp.applied = true;
       }
     }
+    std::vector<const Tuple*> out;
     for (const Tuple& row : table.rows()) {
       ++st->tuples_processed;
       bool keep = true;
@@ -201,24 +205,39 @@ StatusOr<RowSet> Executor::Execute(const SelectQuery& query,
           }
         }
       }
-      if (keep) out.AddRow(row);
+      if (keep) out.push_back(&row);
     }
     return out;
   };
 
-  current = scan_into_rowset(0);
-  offset_of[0] = 0;
-  int current_arity = static_cast<int>(tables[0].table->schema().arity());
+  // Incrementally build the join result, one FROM entry at a time. An
+  // intermediate row is `width` references into the stored tables, FROM
+  // entry t at slot t; values are copied only at projection.
+  // `names` are the qualified columns of the joined entries and
+  // `offset_of[t]` is the first of table t's once it is joined.
+  std::vector<std::string> names;
+  std::vector<int> offset_of(tables.size(), -1);
+  auto add_names = [&](size_t t) {
+    offset_of[t] = static_cast<int>(names.size());
+    const std::string& alias = tables[t].ref->EffectiveAlias();
+    const catalog::RelationDef& schema = tables[t].table->schema();
+    for (size_t c = 0; c < schema.arity(); ++c) {
+      names.push_back(alias + "." + schema.attribute(c).name);
+    }
+  };
+  std::vector<const Tuple*> current = scan(0);
+  size_t width = 1;
+  add_names(0);
 
   for (size_t t = 1; t < tables.size(); ++t) {
-    RowSet next = scan_into_rowset(t);
+    std::vector<const Tuple*> next = scan(t);
 
-    // Split unapplied cross predicates between `current` and table t into
-    // equality keys (hash join) and residual theta predicates.
+    // Split unapplied cross predicates between the joined entries and
+    // table t into equality keys (hash join) and residual theta predicates.
     struct CrossPred {
       const ResolvedPredicate* rp;
-      int left_col;   // column in `current`
-      int right_col;  // column in `next`
+      ResolvedColumn left;  // side among the joined entries
+      int right_col;        // column of table t
     };
     std::vector<CrossPred> eq_keys;
     std::vector<CrossPred> residual;
@@ -227,12 +246,12 @@ StatusOr<RowSet> Executor::Execute(const SelectQuery& query,
       int lt = rp.lhs.table_index, rt = rp.rhs.table_index;
       bool l_in_cur = lt != static_cast<int>(t) && offset_of[lt] >= 0;
       bool r_in_cur = rt != static_cast<int>(t) && offset_of[rt] >= 0;
-      CrossPred cp{&rp, -1, -1};
+      CrossPred cp{&rp, {}, -1};
       if (l_in_cur && rt == static_cast<int>(t)) {
-        cp.left_col = offset_of[lt] + rp.lhs.column_index;
+        cp.left = rp.lhs;
         cp.right_col = rp.rhs.column_index;
       } else if (r_in_cur && lt == static_cast<int>(t)) {
-        cp.left_col = offset_of[rt] + rp.rhs.column_index;
+        cp.left = rp.rhs;
         cp.right_col = rp.lhs.column_index;
       } else {
         continue;  // involves a table not yet joined
@@ -247,20 +266,12 @@ StatusOr<RowSet> Executor::Execute(const SelectQuery& query,
       }
     }
 
-    RowSet joined;
-    for (const std::string& name : current.column_names()) {
-      joined.AddColumnName(name);
-    }
-    for (const std::string& name : next.column_names()) {
-      joined.AddColumnName(name);
-    }
-
-    auto eval_residual = [&](const Tuple& left, const Tuple& right) {
+    auto eval_residual = [&](const Tuple* const* left, const Tuple& right) {
       for (const CrossPred& cp : residual) {
-        const Value& lv = left.at(static_cast<size_t>(cp.left_col));
+        const Value& lv = At(left, cp.left);
         const Value& rv = right.at(static_cast<size_t>(cp.right_col));
         // Orientation: the stored op applies as lhs-op-rhs of the original
-        // predicate. left_col always holds the side living in `current`.
+        // predicate. `left` always holds the side among the joined entries.
         bool original_lhs_in_current =
             cp.rp->lhs.table_index != static_cast<int>(t);
         bool ok = original_lhs_in_current
@@ -271,44 +282,50 @@ StatusOr<RowSet> Executor::Execute(const SelectQuery& query,
       return true;
     };
 
+    std::vector<const Tuple*> joined;
+    auto emit = [&](const Tuple* const* left, const Tuple* right) {
+      ++st->tuples_processed;
+      joined.insert(joined.end(), left, left + width);
+      joined.push_back(right);
+    };
+    const Tuple* const* rows_end = current.data() + current.size();
     if (!eq_keys.empty()) {
-      // Hash join: build on `next` (typically the smaller side has been
+      // Hash join: build on table t (typically the smaller side has been
       // filtered already; simplicity over micro-optimality).
-      std::vector<int> build_cols, probe_cols;
+      std::vector<ResolvedColumn> probe_cols;
+      std::vector<int> build_cols;
       for (const CrossPred& cp : eq_keys) {
+        probe_cols.push_back(cp.left);
         build_cols.push_back(cp.right_col);
-        probe_cols.push_back(cp.left_col);
       }
       std::unordered_multimap<size_t, const Tuple*> ht;
-      ht.reserve(next.row_count());
-      for (const Tuple& row : next.rows()) {
-        ht.emplace(HashValues(row, build_cols), &row);
+      ht.reserve(next.size());
+      for (const Tuple* row : next) {
+        ht.emplace(HashValues(*row, build_cols), row);
       }
-      for (const Tuple& left : current.rows()) {
-        size_t h = HashValues(left, probe_cols);
-        auto range = ht.equal_range(h);
+      for (const Tuple* const* left = current.data(); left != rows_end;
+           left += width) {
+        auto range = ht.equal_range(HashValues(left, probe_cols));
         for (auto it = range.first; it != range.second; ++it) {
           const Tuple& right = *it->second;
           if (!KeysEqual(left, probe_cols, right, build_cols)) continue;
           if (!eval_residual(left, right)) continue;
-          ++st->tuples_processed;
-          joined.AddRow(Tuple::Concat(left, right));
+          emit(left, &right);
         }
       }
     } else {
       // Filtered nested-loop product.
-      for (const Tuple& left : current.rows()) {
-        for (const Tuple& right : next.rows()) {
-          if (!eval_residual(left, right)) continue;
-          ++st->tuples_processed;
-          joined.AddRow(Tuple::Concat(left, right));
+      for (const Tuple* const* left = current.data(); left != rows_end;
+           left += width) {
+        for (const Tuple* right : next) {
+          if (eval_residual(left, *right)) emit(left, right);
         }
       }
     }
 
-    offset_of[t] = current_arity;
-    current_arity += static_cast<int>(tables[t].table->schema().arity());
     current = std::move(joined);
+    ++width;
+    add_names(t);
   }
 
   // Any predicate still unapplied references a single table through two
@@ -319,31 +336,47 @@ StatusOr<RowSet> Executor::Execute(const SelectQuery& query,
     }
   }
 
-  // Projection.
+  // Projection: the select list resolves against the joined columns, and
+  // only here are values copied out of the stored tables.
+  std::vector<ResolvedColumn> picks;
   RowSet projected;
   if (query.select_list.empty()) {
-    projected = std::move(current);
+    for (size_t t = 0; t < tables.size(); ++t) {
+      for (size_t c = 0; c < tables[t].table->schema().arity(); ++c) {
+        picks.push_back({static_cast<int>(t), static_cast<int>(c)});
+      }
+    }
+    projected = RowSet(std::move(names), {});
   } else {
-    std::vector<int> positions;
-    positions.reserve(query.select_list.size());
+    const RowSet joined_columns(std::move(names), {});
     for (const ColumnRef& col : query.select_list) {
-      CQP_ASSIGN_OR_RETURN(int pos, current.ResolveColumn(col));
-      positions.push_back(pos);
+      CQP_ASSIGN_OR_RETURN(int pos, joined_columns.ResolveColumn(col));
+      int t = static_cast<int>(
+          std::upper_bound(offset_of.begin(), offset_of.end(), pos) -
+          offset_of.begin() - 1);
+      picks.push_back({t, pos - offset_of[static_cast<size_t>(t)]});
       projected.AddColumnName(col.qualifier.empty()
                                   ? col.attribute
                                   : col.qualifier + "." + col.attribute);
     }
-    for (const Tuple& row : current.rows()) {
-      projected.AddRow(row.Project(positions));
-    }
-    st->tuples_processed += current.row_count();
   }
+  const size_t row_count = current.size() / width;
+  std::vector<Tuple>& out_rows = projected.mutable_rows();
+  out_rows.reserve(row_count);
+  for (const Tuple* const* row = current.data();
+       row != current.data() + current.size(); row += width) {
+    std::vector<Value> values;
+    values.reserve(picks.size());
+    for (const ResolvedColumn& pick : picks) values.push_back(At(row, pick));
+    out_rows.emplace_back(std::move(values));
+  }
+  if (!query.select_list.empty()) st->tuples_processed += row_count;
 
   if (query.distinct) {
     std::vector<Tuple> unique;
     // Buckets hold indices into `unique` (stable across reallocation).
     std::unordered_multimap<size_t, size_t> buckets;
-    for (const Tuple& row : projected.rows()) {
+    for (Tuple& row : projected.mutable_rows()) {
       ++st->tuples_processed;
       size_t h = row.Hash();
       bool duplicate = false;
@@ -356,10 +389,10 @@ StatusOr<RowSet> Executor::Execute(const SelectQuery& query,
       }
       if (!duplicate) {
         buckets.emplace(h, unique.size());
-        unique.push_back(row);
+        unique.push_back(std::move(row));
       }
     }
-    projected = RowSet(projected.column_names(), std::move(unique));
+    projected.mutable_rows() = std::move(unique);
   }
 
   if (!query.order_by.empty()) {
@@ -420,9 +453,9 @@ StatusOr<RowSet> Executor::ExecuteUnionGroup(const sql::UnionGroupQuery& query,
     } else if (rows.arity() != arity) {
       return InvalidArgument("union branches project different arities");
     }
-    for (const Tuple& row : rows.rows()) {
+    for (Tuple& row : rows.mutable_rows()) {
       ++st->tuples_processed;  // group-by insertion work
-      ++groups[row];
+      ++groups.try_emplace(std::move(row), 0).first->second;
     }
   }
 
@@ -430,14 +463,17 @@ StatusOr<RowSet> Executor::ExecuteUnionGroup(const sql::UnionGroupQuery& query,
   for (const sql::ColumnRef& col : query.select_list) {
     out.AddColumnName(col.attribute);
   }
-  for (const auto& [row, count] : groups) {
-    if (count == query.having_count) out.AddRow(row);
+  for (auto it = groups.begin(); it != groups.end();) {
+    if (it->second == query.having_count) {
+      out.AddRow(std::move(groups.extract(it++).key()));
+    } else {
+      ++it;
+    }
   }
   // Deterministic output order (hash-map iteration is not).
-  std::sort(out.mutable_rows().begin(), out.mutable_rows().end(),
-            [](const Tuple& a, const Tuple& b) {
-              return a.ToString() < b.ToString();
-            });
+  RankByRendering(
+      out.mutable_rows(), [](const Tuple& row) -> const Tuple& { return row; },
+      [](const Tuple&) { return 0.0; });
   return out;
 }
 

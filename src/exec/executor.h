@@ -17,8 +17,13 @@ namespace cqp::exec {
 /// assumptions in §7.1): every referenced relation is sequentially scanned
 /// exactly once (no indexes), joins are in-memory hash joins (or filtered
 /// nested-loop products when no equality join predicate applies), and all
-/// intermediates stay memory resident. Every scan charges the table's block
-/// count to ExecStats; every materialized row charges one tuple.
+/// intermediates stay memory resident as references to the stored tuples
+/// until the projection copies values out.
+///
+/// Charges to ExecStats: a scan charges the table's block count and one
+/// tuple per stored row read; one tuple per join match, per projected row
+/// (not under SELECT *), per row entering DISTINCT, per row sorted by
+/// ORDER BY, and per row inserted into a UNION grouping.
 class Executor {
  public:
   /// `db` must outlive the executor.

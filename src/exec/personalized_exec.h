@@ -42,10 +42,11 @@ struct PersonalizedResultSet {
 /// of `subqueries` (each integrating exactly one preference, all projecting
 /// the same select list).
 ///
-/// Each sub-query's output is deduplicated before counting, so the
-/// HAVING COUNT(*) = L grouping has exact intersection semantics even when
-/// a sub-query's join fans out (e.g. a movie with two genre rows). `dois`
-/// must parallel `subqueries`.
+/// A row counts once per sub-query, so the HAVING COUNT(*) = L grouping
+/// has exact intersection semantics even when a sub-query's join fans out
+/// (e.g. a movie with two genre rows). The dedupe folds into the grouping
+/// and charges what a per-sub-query DISTINCT would. `dois` must parallel
+/// `subqueries`.
 StatusOr<PersonalizedResultSet> ExecutePersonalized(
     const Executor& executor, const std::vector<sql::SelectQuery>& subqueries,
     const std::vector<double>& dois, CombineMode mode, ExecStats* stats);

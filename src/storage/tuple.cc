@@ -2,21 +2,6 @@
 
 namespace cqp::storage {
 
-Tuple Tuple::Concat(const Tuple& a, const Tuple& b) {
-  std::vector<catalog::Value> values;
-  values.reserve(a.arity() + b.arity());
-  values.insert(values.end(), a.values_.begin(), a.values_.end());
-  values.insert(values.end(), b.values_.begin(), b.values_.end());
-  return Tuple(std::move(values));
-}
-
-Tuple Tuple::Project(const std::vector<int>& positions) const {
-  std::vector<catalog::Value> values;
-  values.reserve(positions.size());
-  for (int p : positions) values.push_back(values_[static_cast<size_t>(p)]);
-  return Tuple(std::move(values));
-}
-
 size_t Tuple::Hash() const {
   size_t h = 1469598103934665603ull;
   for (const catalog::Value& v : values_) {

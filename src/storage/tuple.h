@@ -22,12 +22,6 @@ class Tuple {
 
   void Append(catalog::Value v) { values_.push_back(std::move(v)); }
 
-  /// Concatenation of two rows (used by joins).
-  static Tuple Concat(const Tuple& a, const Tuple& b);
-
-  /// Row projected to the given column positions.
-  Tuple Project(const std::vector<int>& positions) const;
-
   bool operator==(const Tuple& other) const { return values_ == other.values_; }
   bool operator!=(const Tuple& other) const { return !(*this == other); }
 

@@ -1,17 +1,21 @@
 // Differential testing of the executor: random SPJ queries over random
 // small tables, checked against a naive reference evaluator (cartesian
 // product + predicate filter + projection). Any divergence is a bug in the
-// hash-join/filter pipeline.
+// hash-join/filter pipeline. Personalized execution (union of sub-queries,
+// per-sub-query dedupe, grouping, doi ranking) is checked the same way.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <map>
 #include <set>
 #include <string>
 
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "exec/executor.h"
+#include "exec/personalized_exec.h"
 #include "sql/ast.h"
 #include "storage/database.h"
 #include "test_util.h"
@@ -31,8 +35,9 @@ using sql::TableRef;
 using storage::Tuple;
 
 /// Builds 2-3 random tables with small integer domains (so joins and
-/// selections actually hit).
-storage::Database MakeRandomDb(Rng& rng) {
+/// selections actually hit). Values are multiples of `scale` in
+/// [0, 4 * scale].
+storage::Database MakeRandomDb(Rng& rng, int64_t scale = 1) {
   storage::Database db;
   int n_tables = static_cast<int>(rng.Uniform(2, 3));
   for (int t = 0; t < n_tables; ++t) {
@@ -43,8 +48,8 @@ storage::Database MakeRandomDb(Rng& rng) {
     }
     ::cqp::testing::AddRandomTable(
         rng, db, "T" + std::to_string(t), attrs, 0, 12,
-        [](Rng& r, const AttributeDef&) {
-          return Value(r.Uniform(0, 4));  // tiny domain: collisions
+        [scale](Rng& r, const AttributeDef&) {
+          return Value(r.Uniform(0, 4) * scale);  // tiny domain: collisions
         });
   }
   db.Analyze();
@@ -97,9 +102,10 @@ SelectQuery MakeRandomQuery(Rng& rng, const storage::Database& db) {
   return q;
 }
 
-/// Naive reference: full cartesian product, filter, project, dedupe.
-StatusOr<std::multiset<std::string>> ReferenceEval(
-    const storage::Database& db, const SelectQuery& q) {
+/// Naive reference: full cartesian product, filter, project, dedupe. Rows
+/// come in product order.
+StatusOr<std::vector<Tuple>> ReferenceRows(const storage::Database& db,
+                                           const SelectQuery& q) {
   // Build the product schema: qualified names per FROM entry.
   std::vector<std::string> columns;
   std::vector<const storage::Table*> tables;
@@ -120,12 +126,12 @@ StatusOr<std::multiset<std::string>> ReferenceEval(
     return NotFound("column " + wanted);
   };
 
-  std::multiset<std::string> out;
+  std::vector<Tuple> out;
   // Odometer over the row indices of every table.
   std::vector<size_t> idx(tables.size(), 0);
   bool any_empty = false;
   for (const storage::Table* t : tables) any_empty |= t->row_count() == 0;
-  std::set<std::string> distinct_seen;
+  std::set<std::vector<Value>> distinct_seen;
   while (!any_empty) {
     // Materialize the concatenated row.
     std::vector<Value> row;
@@ -146,16 +152,13 @@ StatusOr<std::multiset<std::string>> ReferenceEval(
       if (!keep) break;
     }
     if (keep) {
-      std::string projected;
+      std::vector<Value> projected;
       for (const ColumnRef& col : q.select_list) {
         CQP_ASSIGN_OR_RETURN(size_t c, resolve(col));
-        projected += row[c].ToString();
-        projected += "|";
+        projected.push_back(row[c]);
       }
-      if (q.distinct) {
-        if (distinct_seen.insert(projected).second) out.insert(projected);
-      } else {
-        out.insert(projected);
+      if (!q.distinct || distinct_seen.insert(projected).second) {
+        out.emplace_back(std::move(projected));
       }
     }
     // Advance the odometer.
@@ -170,6 +173,20 @@ StatusOr<std::multiset<std::string>> ReferenceEval(
   return out;
 }
 
+/// Rows as "v|v|" keys, order ignored.
+std::multiset<std::string> RowKeys(const std::vector<Tuple>& rows) {
+  std::multiset<std::string> keys;
+  for (const Tuple& row : rows) {
+    std::string key;
+    for (size_t c = 0; c < row.arity(); ++c) {
+      key += row.at(c).ToString();
+      key += "|";
+    }
+    keys.insert(key);
+  }
+  return keys;
+}
+
 class ExecFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExecFuzz, MatchesNaiveReference) {
@@ -179,26 +196,160 @@ TEST_P(ExecFuzz, MatchesNaiveReference) {
 
   for (int trial = 0; trial < 40; ++trial) {
     SelectQuery q = MakeRandomQuery(rng, db);
-    auto expected = ReferenceEval(db, q);
+    auto expected = ReferenceRows(db, q);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString() << "\n"
                                << q.ToSql();
     auto got = executor.Execute(q, nullptr);
     ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << q.ToSql();
-
-    std::multiset<std::string> got_rows;
-    for (const Tuple& row : got->rows()) {
-      std::string key;
-      for (size_t c = 0; c < row.arity(); ++c) {
-        key += row.at(c).ToString();
-        key += "|";
-      }
-      got_rows.insert(key);
-    }
-    EXPECT_EQ(got_rows, *expected) << q.ToSql();
+    EXPECT_EQ(RowKeys(got->rows()), RowKeys(*expected)) << q.ToSql();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecFuzz,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+
+/// Sub-queries of one personalized query: the base query plus one random
+/// selection each, and sometimes an extra FROM entry joined on one column,
+/// which fans out and repeats projected rows within the sub-query.
+std::vector<SelectQuery> MakeSubqueries(Rng& rng, const storage::Database& db,
+                                        const SelectQuery& base) {
+  auto names = db.TableNames();
+  std::vector<SelectQuery> subs;
+  int n_subs = static_cast<int>(rng.Uniform(1, 4));
+  for (int s = 0; s < n_subs; ++s) {
+    SelectQuery sub = base;
+    auto column_of = [&](size_t from_index) {
+      const storage::Table* table = *db.GetTable(sub.from[from_index].relation);
+      int col = static_cast<int>(
+          rng.Uniform(0, static_cast<int64_t>(table->schema().arity()) - 1));
+      const AttributeDef& attr =
+          table->schema().attribute(static_cast<size_t>(col));
+      return ColumnRef{sub.from[from_index].alias, attr.name};
+    };
+    if (rng.Bernoulli(0.5)) {
+      TableRef ref;
+      ref.relation = names[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(names.size()) - 1))];
+      ref.alias = "f" + std::to_string(s);
+      sub.from.push_back(ref);
+      sub.where.push_back(Predicate::Join(
+          column_of(static_cast<size_t>(
+              rng.Uniform(0, static_cast<int64_t>(base.from.size()) - 1))),
+          CompareOp::kEq, column_of(sub.from.size() - 1)));
+    }
+    static const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe,
+                                     CompareOp::kLe, CompareOp::kGe};
+    sub.where.push_back(Predicate::Selection(
+        column_of(static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(sub.from.size()) - 1))),
+        kOps[rng.Uniform(0, 3)], Value(rng.Uniform(0, 4) * 3)));
+    subs.push_back(std::move(sub));
+  }
+  return subs;
+}
+
+/// A row of the naive personalized reference.
+struct ReferenceRow {
+  std::string rendering;
+  IndexSet satisfied;
+  double doi = 0.0;
+};
+
+/// Naive reference for ExecutePersonalized: per-sub-query std::set dedupe,
+/// count, keep per mode, noisy-or doi, sort by (doi desc, rendering asc).
+StatusOr<std::vector<ReferenceRow>> ReferencePersonalized(
+    const storage::Database& db, const std::vector<SelectQuery>& subs,
+    const std::vector<double>& dois, CombineMode mode) {
+  std::map<std::string, std::vector<int32_t>> members;
+  for (size_t s = 0; s < subs.size(); ++s) {
+    CQP_ASSIGN_OR_RETURN(std::vector<Tuple> rows, ReferenceRows(db, subs[s]));
+    std::set<std::string> distinct;
+    for (const Tuple& row : rows) distinct.insert(row.ToString());
+    for (const std::string& r : distinct) {
+      members[r].push_back(static_cast<int32_t>(s));
+    }
+  }
+  std::vector<ReferenceRow> out;
+  for (const auto& [rendering, sat] : members) {
+    if (mode == CombineMode::kIntersection && sat.size() != subs.size()) {
+      continue;
+    }
+    double miss = 1.0;
+    for (int32_t i : sat) miss *= 1.0 - dois[static_cast<size_t>(i)];
+    out.push_back(ReferenceRow{rendering, IndexSet::FromUnsorted(sat),
+                               1.0 - miss});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ReferenceRow& a, const ReferenceRow& b) {
+              if (a.doi != b.doi) return a.doi > b.doi;
+              return a.rendering < b.rendering;
+            });
+  return out;
+}
+
+/// ExecStats charged the way a DISTINCT pass per sub-query and a separate
+/// grouping would: each sub-query executed with DISTINCT, then one tuple
+/// per distinct row for the group insertion.
+ExecStats DistinctThenGroupStats(const Executor& executor,
+                                 const std::vector<SelectQuery>& subs) {
+  ExecStats stats;
+  for (SelectQuery sub : subs) {
+    sub.distinct = true;
+    auto rows = executor.Execute(sub, &stats);
+    CQP_CHECK(rows.ok()) << rows.status().ToString();
+    stats.tuples_processed += rows->row_count();
+  }
+  return stats;
+}
+
+class PersonalizedExecFuzz : public ::testing::TestWithParam<int> {};
+
+// Values are {0, 3, 6, 9, 12}, so a rendering order ("12" < "3") differs
+// from the numeric one and the ranking tie-break is exercised.
+TEST_P(PersonalizedExecFuzz, MatchesNaiveReference) {
+  Rng rng = ::cqp::testing::SeededRng(GetParam(), 104729);
+  storage::Database db = MakeRandomDb(rng, 3);
+  Executor executor(&db);
+
+  for (int trial = 0; trial < 40; ++trial) {
+    SelectQuery base = MakeRandomQuery(rng, db);
+    base.where.clear();
+    base.distinct = false;
+    std::vector<SelectQuery> subs = MakeSubqueries(rng, db, base);
+    std::vector<double> dois;
+    for (size_t s = 0; s < subs.size(); ++s) {
+      dois.push_back(rng.UniformDouble(0.05, 0.95));
+    }
+    for (CombineMode mode :
+         {CombineMode::kIntersection, CombineMode::kRankedUnion}) {
+      std::string context = "trial " + std::to_string(trial) + " mode " +
+                            std::to_string(static_cast<int>(mode)) + "\n";
+      for (const SelectQuery& sub : subs) context += sub.ToSql() + "\n";
+
+      auto want = ReferencePersonalized(db, subs, dois, mode);
+      ASSERT_TRUE(want.ok()) << want.status().ToString() << context;
+      ExecStats stats;
+      auto got = ExecutePersonalized(executor, subs, dois, mode, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString() << context;
+
+      ASSERT_EQ(got->rows.size(), want->size()) << context;
+      for (size_t i = 0; i < want->size(); ++i) {
+        const PersonalizedRow& row = got->rows[i];
+        const ReferenceRow& ref = (*want)[i];
+        EXPECT_EQ(row.row.ToString(), ref.rendering) << "row " << i << context;
+        EXPECT_EQ(std::bit_cast<uint64_t>(row.doi),
+                  std::bit_cast<uint64_t>(ref.doi))
+            << "row " << i << context;
+        EXPECT_EQ(row.satisfied, ref.satisfied) << "row " << i << context;
+      }
+      ExecStats charged = DistinctThenGroupStats(executor, subs);
+      EXPECT_EQ(stats.blocks_read, charged.blocks_read) << context;
+      EXPECT_EQ(stats.tuples_processed, charged.tuples_processed) << context;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PersonalizedExecFuzz,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
 }  // namespace

@@ -298,6 +298,26 @@ TEST_F(PersonalizedExecTest, DuplicateJoinRowsDoNotFakeIntersection) {
   EXPECT_TRUE(result.rows.empty());
 }
 
+TEST_F(PersonalizedExecTest, MembershipSpansMoreThan64Subqueries) {
+  // Sub-query 69 alone keeps the three pre-1979 titles out of the
+  // intersection; the others all return every title.
+  std::vector<SelectQuery> subs(70, Sub("SELECT M.title FROM MOVIE M"));
+  subs[69] = Sub("SELECT M.title FROM MOVIE M WHERE M.year >= 1979");
+  std::vector<double> dois(subs.size(), 0.01);
+  auto all = *ExecutePersonalized(executor_, subs, dois,
+                                  CombineMode::kRankedUnion, nullptr);
+  auto both = *ExecutePersonalized(executor_, subs, dois,
+                                   CombineMode::kIntersection, nullptr);
+  ASSERT_EQ(all.rows.size(), 6u);
+  ASSERT_EQ(both.rows.size(), 3u);
+  for (const PersonalizedRow& row : both.rows) {
+    EXPECT_EQ(row.satisfied.size(), 70u);
+    EXPECT_EQ(row.satisfied.Max(), 69);
+  }
+  EXPECT_EQ(all.rows.back().satisfied.size(), 69u);
+  EXPECT_EQ(all.rows.back().satisfied.Max(), 68);
+}
+
 TEST_F(PersonalizedExecTest, MismatchedAritiesFail) {
   std::vector<SelectQuery> subs = {
       Sub("SELECT title FROM MOVIE"),

@@ -20,17 +20,6 @@ RelationDef TwoColSchema() {
 
 // ---------- Tuple ----------
 
-TEST(TupleTest, ConcatAndProject) {
-  Tuple a({Value(int64_t{1}), Value("x")});
-  Tuple b({Value(2.0)});
-  Tuple c = Tuple::Concat(a, b);
-  EXPECT_EQ(c.arity(), 3u);
-  EXPECT_EQ(c.at(2).AsDouble(), 2.0);
-  Tuple p = c.Project({2, 0});
-  EXPECT_EQ(p.arity(), 2u);
-  EXPECT_EQ(p.at(1).AsInt(), 1);
-}
-
 TEST(TupleTest, EqualityAndHash) {
   Tuple a({Value(int64_t{1}), Value("x")});
   Tuple b({Value(int64_t{1}), Value("x")});
